@@ -22,26 +22,6 @@ namespace cpx::bench
 {
 
 /**
- * Run one (application × machine) configuration serially, on the
- * calling thread. Bench modules queue grids on a SweepRunner
- * instead; this is for one-off runs (tests, exploratory tools).
- */
-inline WorkloadRun
-runOne(const std::string &app, MachineParams params,
-       const Options &opts)
-{
-    params.numProcs = opts.procs;
-    System sys(params);
-    auto w = makeWorkload(app, opts.scale, opts.seed);
-    WorkloadRun run = runWorkload(sys, *w);
-    if (!run.verified) {
-        SweepPoint point{app, params, "", opts.scale, opts.seed};
-        fatal("%s failed verification", describePoint(point).c_str());
-    }
-    return run;
-}
-
-/**
  * Render guard for fault-isolated sweeps: true iff every handle in
  * @p handles completed and verified. Otherwise prints a single
  * skip-note naming @p what and each failed point's status, so a

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -13,8 +15,12 @@
 #include <deque>
 #include <fstream>
 #include <mutex>
+#include <span>
 #include <sstream>
+#include <string_view>
 #include <thread>
+#include <type_traits>
+#include <variant>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -42,11 +48,24 @@ networkName(const MachineParams &params)
     return "mesh" + std::to_string(params.meshLinkBits);
 }
 
-std::string
-jsonEscape(const std::string &s)
+const char *
+consistencyName(const MachineParams &params)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
+    return params.consistency == Consistency::SequentialConsistency
+               ? "SC"
+               : "RC";
+}
+
+// --- JSON output -----------------------------------------------------------
+//
+// Every document this file writes is appended into one std::string: no
+// streams, no per-field temporaries.
+
+/** Append @p s as a quoted, escaped JSON string. */
+void
+appendString(std::string &out, std::string_view s)
+{
+    out += '"';
     for (char c : s) {
         switch (c) {
           case '"':  out += "\\\""; break;
@@ -64,39 +83,65 @@ jsonEscape(const std::string &s)
             }
         }
     }
-    return out;
-}
-
-std::string
-jsonNumber(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    // JSON has no infinities or NaNs; the stats never produce them,
-    // but never emit an unparseable document if one slips through.
-    if (std::strstr(buf, "inf") || std::strstr(buf, "nan"))
-        return "null";
-    return buf;
-}
-
-std::string
-jsonNumber(std::uint64_t v)
-{
-    return std::to_string(v);
+    out += '"';
 }
 
 /**
- * Exact u64 readback: the parser keeps each number's raw token in
- * JsonValue::text, so integers beyond 2^53 (which a double cannot
- * hold exactly) still round-trip through the wire format.
+ * Append a JSON value: an integer as an exact decimal token, a double
+ * as printf's %.17g (which round-trips it exactly), a bool, a string,
+ * or a sequence of them.
  */
-std::uint64_t
-jsonU64(const JsonValue &v)
+template <class V>
+void
+appendValue(std::string &out, const V &v)
 {
-    if (!v.text.empty() &&
-        v.text.find_first_of(".eE") == std::string::npos)
-        return std::strtoull(v.text.c_str(), nullptr, 10);
-    return static_cast<std::uint64_t>(v.number);
+    if constexpr (std::is_same_v<V, double>) {
+        // JSON has no infinities or NaNs; the stats never produce
+        // them, but never emit an unparseable document if one slips
+        // through.
+        char buf[32];
+        if (std::isfinite(v))
+            out.append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                          std::chars_format::general, 17)
+                                .ptr);
+        else
+            out += "null";
+    } else if constexpr (std::is_same_v<V, bool>) {
+        out += v ? "true" : "false";
+    } else if constexpr (std::is_integral_v<V>) {
+        char buf[24];
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+    } else if constexpr (std::is_convertible_v<V, std::string_view>) {
+        appendString(out, v);
+    } else {
+        out += '[';
+        for (const auto &item : v) {
+            if (out.back() != '[')
+                out += ',';
+            appendValue(out, item);
+        }
+        out += ']';
+    }
+}
+
+/** Append `"key":`, after a comma unless it opens its object. */
+void
+appendKey(std::string &out, const char *key)
+{
+    if (out.back() != '{')
+        out += ',';
+    out += '"';
+    out += key;
+    out += "\":";
+}
+
+/** Append `"key":value`. */
+template <class V>
+void
+appendMember(std::string &out, const char *key, const V &v)
+{
+    appendKey(out, key);
+    appendValue(out, v);
 }
 
 /** write(2) the whole buffer, riding out EINTR/short writes. */
@@ -211,7 +256,7 @@ executeRealPoint(const SweepPoint &point, Tick sample_interval,
 
 /**
  * Worker-subprocess body: run the point (or act out its synthetic
- * fault), write one cpx-wire-1 line to @p fd, and _exit. Never
+ * fault), write its record as one line to @p fd, and _exit. Never
  * returns. Runs straight after fork() from the single-threaded
  * supervisor, so arbitrary library code is safe here.
  */
@@ -230,7 +275,7 @@ runWorkerChild(const SweepPoint &point, Tick sample_interval,
         for (;;)
             ::pause();
     } else if (point.app == faultAppGarbage) {
-        const char garbage[] = "** this is not a wire record **\n";
+        const char garbage[] = "** this is not a record **\n";
         writeAll(fd, garbage, sizeof(garbage) - 1);
         _exit(0);
     } else if (point.app == faultAppFlaky) {
@@ -261,7 +306,8 @@ runWorkerChild(const SweepPoint &point, Tick sample_interval,
         res.status = PointStatus::InvariantFailure;
         res.error = "self-test: forced verification failure";
     }
-    std::string line = serializeWireResult(res);
+    std::string line;
+    appendRecord(line, res);
     line += '\n';
     writeAll(fd, line.data(), line.size());
     ::close(fd);
@@ -276,6 +322,54 @@ backoffSeconds(unsigned attempt)
                           1u << std::min(attempt - 1, 4u));
     return std::min(d, 4.0);
 }
+
+/** Host workers for a batch of @p points: --jobs, capped by the batch. */
+unsigned
+workerCount(const Options &opts, std::size_t points)
+{
+    unsigned jobs = opts.jobs;
+    if (jobs == 0)
+        jobs = std::max(1u, std::thread::hardware_concurrency());
+    return static_cast<unsigned>(std::min<std::size_t>(jobs, points));
+}
+
+/**
+ * Per-point completion reporting: a live one-line ticker on a
+ * terminal, one plain line per point otherwise (CI logs), with an ETA
+ * extrapolated from the mean host cost of the points completed so far
+ * — coarse under a heterogeneous grid, but it replaces a silent
+ * multi-minute gap. done() may be called from several threads.
+ */
+class Progress
+{
+  public:
+    explicit Progress(std::size_t total) : total(total) {}
+
+    void
+    done(const SweepResult &r)
+    {
+        std::lock_guard<std::mutex> hold(mutex);
+        ++completed;
+        std::chrono::duration<double> elapsed =
+            SteadyClock::now() - start;
+        double eta = elapsed.count() / completed * (total - completed);
+        std::fprintf(stderr, "%s[%zu/%zu] %s %s%s%s | ETA %.0fs%s",
+                     tty ? "\r\033[K" : "", completed, total,
+                     r.point.tag.empty() ? "point" : r.point.tag.c_str(),
+                     r.point.app.c_str(), r.ok() ? "" : " !",
+                     r.ok() ? "" : pointStatusName(r.status), eta,
+                     tty && completed != total ? "" : "\n");
+    }
+
+    std::size_t count() const { return completed; }
+
+  private:
+    const std::size_t total;
+    const bool tty = isatty(fileno(stderr)) != 0;
+    const SteadyClock::time_point start = SteadyClock::now();
+    std::mutex mutex;
+    std::size_t completed = 0;
+};
 
 /** Set by the SIGINT/SIGTERM handler installed during supervision. */
 volatile std::sig_atomic_t g_stopRequested = 0;
@@ -326,14 +420,18 @@ pointConfigHash(const SweepPoint &point, Tick sample_interval,
 {
     const MachineParams &p = point.params;
     std::ostringstream key;
-    auto d = [](double v) { return jsonNumber(v); };
+    auto d = [](double v) {
+        std::string text;
+        appendValue(text, v);
+        return text;
+    };
     // Every field that determines the simulated result, pinned to a
     // versioned layout: changing the simulator's parameter space
-    // should change the salt, invalidating stale caches.
-    // --sim-threads is deliberately absent: the parallel kernel is
-    // bit-identical at every worker count, so cached results are
-    // interchangeable across thread configurations.
-    key << "cpx-point-2|" << point.app << '|' << d(point.scale) << '|'
+    // or the record format should change the salt, invalidating stale
+    // caches. --sim-threads is deliberately absent: the parallel
+    // kernel is bit-identical at every worker count, so cached results
+    // are interchangeable across thread configurations.
+    key << "cpx-point-3|" << point.app << '|' << d(point.scale) << '|'
         << point.seed << '|' << sample_interval << '|' << p.numProcs
         << '|' << p.blockBytes << '|' << p.pageBytes << '|'
         << p.flcBytes << '|' << p.flcHitLatency << '|'
@@ -357,8 +455,7 @@ pointConfigHash(const SweepPoint &point, Tick sample_interval,
         << p.directory.pointers << '|'
         << static_cast<int>(p.directory.overflow) << '|'
         << p.directory.coarseness;
-    // Appended only when enabled so every pre-attribution cache and
-    // journal hash stays valid. Attribution never changes simulated
+    // Appended only when enabled. Attribution never changes simulated
     // stats, but an attributed result carries a block a plain run
     // cannot supply — reusing a plain cached result for an attributed
     // request would silently drop it.
@@ -371,9 +468,9 @@ pointConfigHash(const SweepPoint &point, Tick sample_interval,
 }
 
 Options
-parseOptions(int argc, char **argv)
+parseOptions(int argc, char **argv, const ToolFlagFn &tool_flag,
+             Options opts)
 {
-    Options opts;
     if (const char *env = std::getenv("CPX_SCALE"))
         opts.scale = parsePositiveDouble(env, "CPX_SCALE");
     for (int i = 1; i < argc; ++i) {
@@ -421,7 +518,7 @@ parseOptions(int argc, char **argv)
                 opts.journalPath = opts.resumePath;
         } else if (std::strncmp(arg, "--cache=", 8) == 0)
             opts.cachePath = arg + 8;
-        else
+        else if (!tool_flag || !tool_flag(arg, opts))
             fatal("unknown option '%s' (use --scale=F --procs=N "
                   "--jobs=N --seed=N --json=PATH "
                   "--sample-interval=N --attrib --sim-threads=N "
@@ -446,10 +543,7 @@ describePoint(const SweepPoint &point)
                   "(scale %.2f, seed %llu)",
                   point.app.c_str(),
                   point.params.protocol.name().c_str(),
-                  point.params.consistency ==
-                          Consistency::SequentialConsistency
-                      ? "SC"
-                      : "RC",
+                  consistencyName(point.params),
                   networkName(point.params).c_str(),
                   point.params.numProcs, point.scale,
                   static_cast<unsigned long long>(point.seed));
@@ -508,7 +602,8 @@ SweepRunner::journalAppend(const SweepResult &res)
             fatal("cannot open journal '%s': %s",
                   opts.journalPath.c_str(), std::strerror(errno));
     }
-    std::string line = serializeWireResult(res);
+    std::string line;
+    appendRecord(line, res);
     line += '\n';
     // Durability before ack: the record must be on disk before the
     // point counts as done, or a crash right after could leave a
@@ -528,12 +623,13 @@ SweepRunner::cacheStore(const SweepResult &res)
     ::mkdir(opts.cachePath.c_str(), 0755); // EEXIST is fine
     std::string path =
         opts.cachePath + "/" + res.configHash + ".json";
-    std::string error;
+    std::string record, error;
+    appendRecord(record, res);
+    record += '\n';
     char suffix[32];
     std::snprintf(suffix, sizeof(suffix), ".tmp.%ld",
                   static_cast<long>(::getpid()));
-    if (!atomicWriteFile(path, serializeWireResult(res) + "\n",
-                         suffix, error))
+    if (!atomicWriteFile(path, record, suffix, error))
         std::fprintf(stderr, "cpxbench: cache store failed: %s\n",
                      error.c_str());
 }
@@ -553,7 +649,7 @@ SweepRunner::cacheLookup(const std::string &hash,
         return false;
     std::string error;
     SweepResult parsed;
-    if (!parseWireResult(line, parsed, error) ||
+    if (!readRecord(line, parsed, error) ||
         parsed.status != PointStatus::Ok || parsed.configHash != hash) {
         std::fprintf(stderr,
                      "cpxbench: ignoring bad cache entry %s%s%s\n",
@@ -566,23 +662,11 @@ SweepRunner::cacheLookup(const std::string &hash,
     return true;
 }
 
-bool
-SweepRunner::anyFailed() const
-{
-    for (const SweepResult &r : done)
-        if (!r.ok())
-            return true;
-    return false;
-}
-
 std::size_t
 SweepRunner::failedCount() const
 {
-    std::size_t n = 0;
-    for (const SweepResult &r : done)
-        if (!r.ok())
-            ++n;
-    return n;
+    return std::count_if(done.begin(), done.end(),
+                         [](const SweepResult &r) { return !r.ok(); });
 }
 
 std::string
@@ -666,24 +750,17 @@ SweepRunner::runAll()
         return;
     }
 
-    // The historical in-process contract: a failed point is fatal,
-    // after every point has run, naming each failure so it can be
-    // reproduced alone. Process isolation records failures as data
-    // instead; callers consult anyFailed() for the exit policy.
-    std::string failures;
-    if (opts.isolate == IsolateMode::None) {
-        for (const SweepResult &r : batch)
-            if (!r.ok())
-                failures += "\n  [" +
-                            std::string(pointStatusName(r.status)) +
-                            "] " + describePoint(r.point);
-    }
     for (SweepResult &r : batch)
         done.push_back(std::move(r));
     queued.clear();
-    if (!failures.empty())
+    // The historical in-process contract: a failed point is fatal,
+    // after every point has run, naming each failure so it can be
+    // reproduced alone (an earlier batch's failure was already fatal).
+    // Process isolation records failures as data instead; callers
+    // consult anyFailed() for the exit policy.
+    if (opts.isolate == IsolateMode::None && anyFailed())
         fatal("sweep point(s) failed verification:%s",
-              failures.c_str());
+              failureSummary().c_str());
 }
 
 void
@@ -691,36 +768,7 @@ SweepRunner::runBatchInProcess(std::vector<SweepResult> &batch,
                                const std::vector<std::size_t> &todo)
 {
     std::atomic<std::size_t> next{0};
-    auto wall_start = SteadyClock::now();
-
-    // Per-point completion reporting: a live one-line ticker on a
-    // terminal, one plain line per point otherwise (CI logs). Both
-    // show running events/sec and an ETA extrapolated from the mean
-    // host cost of the points completed so far — coarse under a
-    // heterogeneous grid, but it replaces a silent multi-minute gap.
-    const bool tty = isatty(fileno(stderr)) != 0;
-    std::mutex progress_mutex;
-    std::size_t completed = 0;
-    std::uint64_t events_done = 0;
-    auto report_progress = [&](const SweepResult &r) {
-        std::lock_guard<std::mutex> hold(progress_mutex);
-        ++completed;
-        events_done += r.run.stats.eventsExecuted;
-        std::chrono::duration<double> elapsed =
-            SteadyClock::now() - wall_start;
-        double secs = elapsed.count();
-        double rate = secs > 0 ? events_done / secs : 0.0;
-        double eta = completed ? secs / completed *
-                                     (todo.size() - completed)
-                               : 0.0;
-        std::fprintf(stderr,
-                     "%s[%zu/%zu] %s %s | %.3g Mev/s | ETA %.0fs%s",
-                     tty ? "\r\033[K" : "", completed, todo.size(),
-                     r.point.tag.empty() ? "point"
-                                         : r.point.tag.c_str(),
-                     r.point.app.c_str(), rate / 1e6, eta,
-                     tty && completed != todo.size() ? "" : "\n");
-    };
+    Progress progress(todo.size());
 
     auto worker = [&]() {
         for (;;) {
@@ -736,14 +784,11 @@ SweepRunner::runBatchInProcess(std::vector<SweepResult> &batch,
             journalAppend(res);
             cacheStore(res);
             batch[i] = std::move(res);
-            report_progress(batch[i]);
+            progress.done(batch[i]);
         }
     };
 
-    unsigned jobs = opts.jobs;
-    if (jobs == 0)
-        jobs = std::max(1u, std::thread::hardware_concurrency());
-    jobs = std::min<std::size_t>(jobs, todo.size());
+    const unsigned jobs = workerCount(opts, todo.size());
     if (jobs <= 1) {
         worker();
     } else {
@@ -787,11 +832,7 @@ SweepRunner::runBatchProcess(std::vector<SweepResult> &batch,
     for (std::size_t i : todo)
         pending.push_back({i, 1, SteadyClock::now()});
     std::vector<Worker> live;
-
-    unsigned jobs = opts.jobs;
-    if (jobs == 0)
-        jobs = std::max(1u, std::thread::hardware_concurrency());
-    jobs = std::min<std::size_t>(jobs, todo.size());
+    const unsigned jobs = workerCount(opts, todo.size());
 
     // SIGINT/SIGTERM request a graceful stop: no new dispatches,
     // live workers killed and reaped, journal already durable. No
@@ -803,31 +844,7 @@ SweepRunner::runBatchProcess(std::vector<SweepResult> &batch,
     sigaction(SIGINT, &sa, &old_int);
     sigaction(SIGTERM, &sa, &old_term);
 
-    const bool tty = isatty(fileno(stderr)) != 0;
-    std::size_t completed = 0;
-    std::uint64_t events_done = 0;
-    auto wall_start = SteadyClock::now();
-    auto report_progress = [&](const SweepResult &r) {
-        ++completed;
-        events_done += r.run.stats.eventsExecuted;
-        std::chrono::duration<double> elapsed =
-            SteadyClock::now() - wall_start;
-        double secs = elapsed.count();
-        double rate = secs > 0 ? events_done / secs : 0.0;
-        double eta = completed ? secs / completed *
-                                     (todo.size() - completed)
-                               : 0.0;
-        std::fprintf(stderr,
-                     "%s[%zu/%zu] %s %s%s%s | %.3g Mev/s | "
-                     "ETA %.0fs%s",
-                     tty ? "\r\033[K" : "", completed, todo.size(),
-                     r.point.tag.empty() ? "point"
-                                         : r.point.tag.c_str(),
-                     r.point.app.c_str(), r.ok() ? "" : " !",
-                     r.ok() ? "" : pointStatusName(r.status),
-                     rate / 1e6, eta,
-                     tty && completed != todo.size() ? "" : "\n");
-    };
+    Progress progress(todo.size());
 
     auto spawn = [&](const Pending &p) {
         int fds[2];
@@ -891,14 +908,10 @@ SweepRunner::runBatchProcess(std::vector<SweepResult> &batch,
             res.error = "exited with status " +
                         std::to_string(WEXITSTATUS(wstatus));
         } else {
-            // Clean exit: the single wire line is the result.
-            std::string line = w.buf;
-            while (!line.empty() && (line.back() == '\n' ||
-                                     line.back() == '\r'))
-                line.pop_back();
+            // Clean exit: the single record line is the result.
             SweepResult parsed;
             std::string perr;
-            if (parseWireResult(line, parsed, perr)) {
+            if (readRecord(w.buf, parsed, perr)) {
                 res.run = std::move(parsed.run);
                 res.status = parsed.status;
                 res.error = parsed.error;
@@ -932,7 +945,7 @@ SweepRunner::runBatchProcess(std::vector<SweepResult> &batch,
         cacheStore(res);
         ++executed;
         batch[w.index] = std::move(res);
-        report_progress(batch[w.index]);
+        progress.done(batch[w.index]);
     };
 
     while ((!pending.empty() || !live.empty()) && !g_stopRequested) {
@@ -1026,7 +1039,7 @@ SweepRunner::runBatchProcess(std::vector<SweepResult> &batch,
         std::fprintf(stderr,
                      "\ncpxbench: interrupted — %zu/%zu point(s) "
                      "completed%s\n",
-                     completed, todo.size(),
+                     progress.count(), todo.size(),
                      opts.journalPath.empty()
                          ? ""
                          : "; journaled work is resumable with "
@@ -1047,19 +1060,709 @@ SweepRunner::operator[](std::size_t handle) const
     return done[handle];
 }
 
-// --- JSON output -----------------------------------------------------------
+// --- the point record --------------------------------------------------------
+//
+// One JSON object per sweep point, on one line. appendRecord() writes
+// it for the sweep JSON's "points" array, the worker pipe, the journal
+// and the cache alike; readRecord() reads any of them back. The tables
+// below name every scalar RunResult member once, with its block, its
+// key and (through the member pointer) its type; the writer and the
+// reader are both driven by them. u64s are written as exact integer
+// tokens and doubles as %.17g, so a record reads back bit-identical.
+
+namespace
+{
+
+/**
+ * One scalar member of T under its record key. A member function is a
+ * derived value (a miss rate): written for readers of the sweep JSON,
+ * and on the way back only checked to be a number.
+ */
+template <class T>
+struct Field
+{
+    const char *key;
+    std::variant<std::uint64_t T::*, std::uint32_t T::*, double T::*,
+                 double (T::*)() const>
+        member;
+};
+
+template <class T>
+using Fields = std::type_identity_t<std::span<const Field<T>>>;
+
+const Field<RunResult> breakdownFields[] = {
+    {"busy", &RunResult::busy},
+    {"readStall", &RunResult::readStall},
+    {"writeStall", &RunResult::writeStall},
+    {"acquireStall", &RunResult::acquireStall},
+    {"releaseStall", &RunResult::releaseStall},
+};
+
+const Field<RunResult> missFields[] = {
+    {"coldPct", &RunResult::coldMissRate},
+    {"cohPct", &RunResult::cohMissRate},
+    {"sharedAccesses", &RunResult::sharedAccesses},
+    {"coldRead", &RunResult::coldReadMisses},
+    {"cohRead", &RunResult::cohReadMisses},
+    {"replRead", &RunResult::replReadMisses},
+    {"write", &RunResult::writeMissesTotal},
+    {"avgReadLatency", &RunResult::avgReadMissLatency},
+};
+
+const Field<RunResult> trafficFields[] = {
+    {"bytes", &RunResult::netBytes},
+    {"messages", &RunResult::netMessages},
+};
+
+const Field<RunResult> eventFields[] = {
+    {"prefetchesIssued", &RunResult::prefetchesIssued},
+    {"prefetchesUseful", &RunResult::prefetchesUseful},
+    {"softwarePrefetches", &RunResult::softwarePrefetches},
+    {"combinedWrites", &RunResult::combinedWrites},
+    {"migratoryDetections", &RunResult::migratoryDetections},
+    {"invalidationsSent", &RunResult::invalidationsSent},
+};
+
+const Field<RunResult> detailFields[] = {
+    {"ownershipRequests", &RunResult::ownershipRequests},
+    {"updatesForwarded", &RunResult::updatesForwarded},
+    {"counterInvalidations", &RunResult::counterInvalidations},
+};
+
+const Field<RunResult> kernelFields[] = {
+    {"eventsExecuted", &RunResult::eventsExecuted},
+    {"peakPendingEvents", &RunResult::peakPendingEvents},
+    {"scheduleAllocs", &RunResult::scheduleAllocs},
+    {"slabRounds", &RunResult::slabRounds},
+    {"crossMessages", &RunResult::crossMessages},
+    {"lookahead", &RunResult::lookahead},
+    {"simThreads", &RunResult::simThreads},
+};
+
+const Field<RunResult> directoryFields[] = {
+    {"overflowBroadcasts", &RunResult::dirOverflowBroadcasts},
+    {"pointerEvictions", &RunResult::dirPointerEvictions},
+};
+
+/** A latency histogram: its key in "latency", and in "detail" the key
+ *  of its sample sum (the gated block carries only the mean). */
+struct HistogramField
+{
+    const char *key;
+    const char *sumKey;
+    Histogram RunResult::*member;
+};
+
+const HistogramField histogramFields[] = {
+    {"readMiss", "readMissSum", &RunResult::readMissLatency},
+    {"ownership", "ownershipSum", &RunResult::ownershipLatency},
+    {"prefetchFill", "prefetchFillSum", &RunResult::prefetchFillLatency},
+};
+
+const Field<AttribSegments> segmentFields[] = {
+    {"count", &AttribSegments::count},
+    {"latency", &AttribSegments::latency},
+    {"request", &AttribSegments::request},
+    {"dirQueue", &AttribSegments::dirQueue},
+    {"dirService", &AttribSegments::dirService},
+    {"ownerFetch", &AttribSegments::ownerFetch},
+    {"invalFanout", &AttribSegments::invalFanout},
+    {"ackCollect", &AttribSegments::ackCollect},
+    {"dataReturn", &AttribSegments::dataReturn},
+    {"fill", &AttribSegments::fill},
+    {"dataHops", &AttribSegments::dataHops},
+};
+
+const Field<AttribLockStats> lockFields[] = {
+    {"count", &AttribLockStats::count},
+    {"latency", &AttribLockStats::latency},
+    {"homeQueue", &AttribLockStats::homeQueue},
+    {"transfer", &AttribLockStats::transfer},
+};
+
+const Field<AttribHomeStats> homeFields[] = {
+    {"node", &AttribHomeStats::node},
+    {"dirRequests", &AttribHomeStats::dirRequests},
+    {"dirWaitTotal", &AttribHomeStats::dirWaitTotal},
+    {"dirWaitP99", &AttribHomeStats::dirWaitP99},
+    {"lockGrants", &AttribHomeStats::lockGrants},
+    {"lockWaitTotal", &AttribHomeStats::lockWaitTotal},
+    {"lockWaitP99", &AttribHomeStats::lockWaitP99},
+};
+
+const Field<AttribHotSpot> hotSpotFields[] = {
+    {"addr", &AttribHotSpot::addr},
+    {"home", &AttribHotSpot::home},
+    {"count", &AttribHotSpot::count},
+    {"totalWait", &AttribHotSpot::totalWait},
+    {"p99Wait", &AttribHotSpot::p99Wait},
+};
+
+const Field<AttributionResult> attribTotalFields[] = {
+    {"matchedTxns", &AttributionResult::matchedTxns},
+    {"unmatchedDir", &AttributionResult::unmatchedDir},
+    {"matchedLocks", &AttributionResult::matchedLocks},
+    {"unmatchedLocks", &AttributionResult::unmatchedLocks},
+    {"fanoutTotal", &AttributionResult::fanoutTotal},
+    {"fanoutImprecise", &AttributionResult::fanoutImprecise},
+};
+
+constexpr unsigned numMsgClasses =
+    static_cast<unsigned>(MsgClass::NumClasses);
+
+// --- writer ----------------------------------------------------------------
+
+template <class T>
+void
+appendFields(std::string &out, const T &obj, Fields<T> fields)
+{
+    for (const Field<T> &f : fields) {
+        std::visit(
+            [&](auto member) {
+                if constexpr (std::is_member_function_pointer_v<
+                                  decltype(member)>)
+                    appendMember(out, f.key, (obj.*member)());
+                else
+                    appendMember(out, f.key, obj.*member);
+            },
+            f.member);
+    }
+}
+
+/** `"key":[{...},...]`, one object of @p fields per row. */
+template <class T>
+void
+appendRows(std::string &out, const char *key, const std::vector<T> &rows,
+           Fields<T> fields)
+{
+    appendKey(out, key);
+    out += '[';
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        out += i ? ",{" : "{";
+        appendFields(out, rows[i], fields);
+        out += '}';
+    }
+    out += ']';
+}
+
+void
+appendLatency(std::string &out, const RunResult &s)
+{
+    for (const HistogramField &f : histogramFields) {
+        const Histogram &h = s.*f.member;
+        const Accumulator &a = h.summary();
+        appendKey(out, f.key);
+        out += '{';
+        appendMember(out, "count", a.count());
+        appendMember(out, "mean", a.mean());
+        appendMember(out, "min", a.min());
+        appendMember(out, "max", a.max());
+        appendMember(out, "p50", h.percentile(0.50));
+        appendMember(out, "p90", h.percentile(0.90));
+        appendMember(out, "p99", h.percentile(0.99));
+        appendMember(out, "bucketWidth", h.bucketWidth());
+        appendMember(out, "overflow", h.overflowCount());
+        // Trailing zero buckets are trimmed: the geometry is fixed,
+        // so the reader restores them.
+        const auto &counts = h.bucketCounts();
+        std::size_t last = counts.size();
+        while (last > 0 && counts[last - 1] == 0)
+            --last;
+        appendMember(out, "buckets", std::span(counts.data(), last));
+        out += '}';
+    }
+}
+
+void
+appendTimeseries(std::string &out, const RunResult &s)
+{
+    const MetricTimeSeries &ts = s.timeseries;
+    appendMember(out, "interval", ts.interval);
+    appendMember(out, "metrics", ts.names);
+    appendMember(out, "ticks", ts.ticks);
+    // Row-major, one inner array per sampled window; columns follow
+    // "metrics" (DESIGN.md §13).
+    std::vector<std::span<const std::uint64_t>> rows;
+    for (std::size_t row = 0; row < ts.rows(); ++row)
+        rows.push_back(std::span(ts.deltas).subspan(
+            row * ts.names.size(), ts.names.size()));
+    appendMember(out, "deltas", rows);
+}
+
+void
+appendAttribution(std::string &out, const RunResult &s)
+{
+    const AttributionResult &ar = s.attribution;
+    appendKey(out, "classes");
+    out += '{';
+    for (unsigned c = 0; c < numAttribClasses; ++c) {
+        if (!ar.classes[c].count)
+            continue;  // absent rows read back as zero
+        appendKey(out, attribClassName(c));
+        out += '{';
+        appendFields(out, ar.classes[c], segmentFields);
+        out += '}';
+    }
+    out += '}';
+    appendKey(out, "locks");
+    out += '{';
+    appendFields(out, ar.locks, lockFields);
+    out += '}';
+    appendRows(out, "homes", ar.homes, homeFields);
+    appendRows(out, "hotBlocks", ar.hotBlocks, hotSpotFields);
+    appendRows(out, "hotLocks", ar.hotLocks, hotSpotFields);
+    appendFields(out, ar, attribTotalFields);
+}
+
+void
+appendDetail(std::string &out, const RunResult &s)
+{
+    appendMember(out, "classBytes", std::span(s.classBytes));
+    appendFields(out, s, detailFields);
+    for (const HistogramField &f : histogramFields)
+        appendMember(out, f.sumKey, (s.*f.member).summary().sum());
+}
+
+// --- reader ----------------------------------------------------------------
+
+bool
+fail(std::string &error, std::string what)
+{
+    error = std::move(what);
+    return false;
+}
+
+/**
+ * Read what appendValue() wrote. Integers must be plain digits that
+ * fit @p out's type: no sign, no fraction, no exponent. Doubles must
+ * be finite. A vector reads an array, element by element.
+ */
+template <class V>
+bool
+readValue(const JsonValue &v, V &out)
+{
+    if constexpr (std::is_same_v<V, double>) {
+        out = v.number;
+        return v.kind == JsonValue::Kind::Number && std::isfinite(out);
+    } else if constexpr (std::is_same_v<V, bool>) {
+        out = v.boolean;
+        return v.kind == JsonValue::Kind::Bool;
+    } else if constexpr (std::is_same_v<V, std::string>) {
+        out = v.text;
+        return v.kind == JsonValue::Kind::String;
+    } else if constexpr (std::is_integral_v<V>) {
+        const char *end = v.text.data() + v.text.size();
+        auto [ptr, ec] = std::from_chars(v.text.data(), end, out);
+        return v.kind == JsonValue::Kind::Number && ec == std::errc() &&
+               ptr == end;
+    } else {
+        if (v.kind != JsonValue::Kind::Array)
+            return false;
+        out.resize(v.items.size());
+        for (std::size_t i = 0; i < out.size(); ++i)
+            if (!readValue(v.items[i], out[i]))
+                return false;
+        return true;
+    }
+}
+
+/**
+ * Reads the members of one object, counting them, so that complete()
+ * can reject a key the writer never writes. The first member that is
+ * missing or malformed is named by problem().
+ */
+struct ObjectReader
+{
+    const JsonValue &obj;
+    std::size_t used = 0;
+    const char *bad = nullptr;
+
+    const JsonValue *
+    get(const char *key, JsonValue::Kind kind)
+    {
+        auto it = obj.members.find(key);
+        if (it == obj.members.end() || it->second.kind != kind) {
+            bad = key;
+            return nullptr;
+        }
+        ++used;
+        return &it->second;
+    }
+
+    template <class V>
+    bool
+    value(const char *key, V &out)
+    {
+        auto it = obj.members.find(key);
+        if (it == obj.members.end() || !readValue(it->second, out)) {
+            bad = key;
+            return false;
+        }
+        ++used;
+        return true;
+    }
+
+    template <class T>
+    bool
+    fields(T &dst, Fields<T> list)
+    {
+        for (const Field<T> &f : list) {
+            bool ok = std::visit(
+                [&](auto member) {
+                    if constexpr (std::is_member_function_pointer_v<
+                                      decltype(member)>) {
+                        double derived;
+                        return value(f.key, derived);
+                    } else {
+                        return value(f.key, dst.*member);
+                    }
+                },
+                f.member);
+            if (!ok)
+                return false;
+        }
+        return true;
+    }
+
+    bool complete() const { return used == obj.members.size(); }
+
+    std::string
+    problem() const
+    {
+        return bad ? std::string("missing or malformed '") + bad + "'"
+                   : std::string("unexpected member");
+    }
+};
+
+/** Read @p v as an object of exactly @p list's members. */
+template <class T>
+bool
+readObject(const JsonValue &v, T &dst, Fields<T> list,
+           std::string &error)
+{
+    ObjectReader r{v};
+    return (v.kind == JsonValue::Kind::Object && r.fields(dst, list) &&
+            r.complete()) ||
+           fail(error, r.problem());
+}
+
+template <class T>
+bool
+readRows(const JsonValue *rows, std::vector<T> &out, Fields<T> list,
+         std::string &error)
+{
+    out.resize(rows->items.size());
+    for (std::size_t i = 0; i < out.size(); ++i)
+        if (!readObject(rows->items[i], out[i], list, error))
+            return false;
+    return true;
+}
+
+bool
+readLatency(const JsonValue &v, RunResult &s, std::string &error)
+{
+    ObjectReader r{v};
+    for (const HistogramField &f : histogramFields) {
+        const JsonValue *hv = r.get(f.key, JsonValue::Kind::Object);
+        if (!hv)
+            return fail(error, r.problem());
+        Histogram &h = s.*f.member;
+        ObjectReader hr{*hv};
+        std::uint64_t count, width, overflow;
+        double min, max, mean, p50, p90, p99;  // derived: checked only
+        std::vector<std::uint64_t> counts;
+        if (!hr.value("count", count) || !hr.value("mean", mean) ||
+            !hr.value("min", min) || !hr.value("max", max) ||
+            !hr.value("p50", p50) || !hr.value("p90", p90) ||
+            !hr.value("p99", p99) || !hr.value("bucketWidth", width) ||
+            !hr.value("overflow", overflow) ||
+            !hr.value("buckets", counts) || !hr.complete())
+            return fail(error, std::string(f.key) + ": " + hr.problem());
+        // The sum arrives with the "detail" block (readDetail).
+        Accumulator acc;
+        acc.restore(count, 0.0, min, max);
+        if (width != h.bucketWidth() || !h.restore(counts, overflow, acc))
+            return fail(error, std::string(f.key) +
+                                   ": histogram geometry mismatch");
+    }
+    return r.complete() || fail(error, r.problem());
+}
+
+bool
+readTimeseries(const JsonValue &v, RunResult &s, std::string &error)
+{
+    MetricTimeSeries &ts = s.timeseries;
+    ts = MetricTimeSeries{};
+    ObjectReader r{v};
+    std::vector<std::vector<std::uint64_t>> rows;
+    if (!r.value("interval", ts.interval) ||
+        !r.value("metrics", ts.names) || !r.value("ticks", ts.ticks) ||
+        !r.value("deltas", rows) || !r.complete())
+        return fail(error, r.problem());
+    if (ts.interval == 0)
+        return fail(error, "interval must be > 0");
+    // The writer writes only non-empty series.
+    if (ts.names.empty() || ts.ticks.empty())
+        return fail(error, "no metrics or no rows");
+    if (rows.size() != ts.ticks.size())
+        return fail(error, std::to_string(rows.size()) +
+                               " delta rows but " +
+                               std::to_string(ts.ticks.size()) +
+                               " ticks");
+    for (const std::vector<std::uint64_t> &row : rows) {
+        if (row.size() != ts.names.size())
+            return fail(error, "ragged delta row");
+        ts.deltas.insert(ts.deltas.end(), row.begin(), row.end());
+    }
+    return true;
+}
+
+bool
+readAttribution(const JsonValue &v, RunResult &s, std::string &error)
+{
+    AttributionResult &ar = s.attribution;
+    ar = AttributionResult{};
+    ar.enabled = true;
+    ObjectReader r{v};
+    const JsonValue *classes, *locks, *homes, *hot_blocks, *hot_locks;
+    if (!(classes = r.get("classes", JsonValue::Kind::Object)) ||
+        !(locks = r.get("locks", JsonValue::Kind::Object)) ||
+        !(homes = r.get("homes", JsonValue::Kind::Array)) ||
+        !(hot_blocks = r.get("hotBlocks", JsonValue::Kind::Array)) ||
+        !(hot_locks = r.get("hotLocks", JsonValue::Kind::Array)) ||
+        !r.fields(ar, attribTotalFields) || !r.complete())
+        return fail(error, r.problem());
+    for (const auto &[name, row] : classes->members) {
+        unsigned c = 0;
+        while (c < numAttribClasses && name != attribClassName(c))
+            ++c;
+        if (c == numAttribClasses)
+            return fail(error, "unknown class '" + name + "'");
+        if (!readObject(row, ar.classes[c], segmentFields, error))
+            return fail(error, "class '" + name + "': " + error);
+        // The writer leaves zero-count rows out.
+        if (!ar.classes[c].count)
+            return fail(error, "class '" + name + "' has no samples");
+    }
+    return readObject(*locks, ar.locks, lockFields, error) &&
+           readRows(homes, ar.homes, homeFields, error) &&
+           readRows(hot_blocks, ar.hotBlocks, hotSpotFields, error) &&
+           readRows(hot_locks, ar.hotLocks, hotSpotFields, error);
+}
+
+bool
+readDetail(const JsonValue &v, RunResult &s, std::string &error)
+{
+    ObjectReader r{v};
+    std::vector<std::uint64_t> bytes;
+    if (!r.value("classBytes", bytes) || !r.fields(s, detailFields))
+        return fail(error, r.problem());
+    if (bytes.size() != numMsgClasses)
+        return fail(error, "classBytes has " +
+                               std::to_string(bytes.size()) +
+                               " entries, expected " +
+                               std::to_string(numMsgClasses));
+    std::copy(bytes.begin(), bytes.end(), s.classBytes);
+    for (const HistogramField &f : histogramFields) {
+        double sum;
+        if (!r.value(f.sumKey, sum))
+            return fail(error, r.problem());
+        // Restore the latency histogram again, now with its sum.
+        Histogram &h = s.*f.member;
+        Accumulator acc = h.summary();
+        acc.restore(acc.count(), sum, acc.min(), acc.max());
+        std::vector<std::uint64_t> counts = h.bucketCounts();
+        h.restore(counts, h.overflowCount(), acc);
+    }
+    return r.complete() || fail(error, r.problem());
+}
+
+/**
+ * A block of RunResult members, in record order. A plain block is
+ * exactly its fields; the others bring their own codec. An optional
+ * block is written only when @c present says so. Gated blocks hold
+ * the simulated stats compareToBaseline() holds to the baseline; the
+ * ungated ones hold observer output, kernel telemetry and what the
+ * gated blocks leave out.
+ */
+struct StatBlock
+{
+    const char *key;
+    bool gated;
+    std::span<const Field<RunResult>> fields;
+    void (*write)(std::string &out, const RunResult &s) = nullptr;
+    bool (*read)(const JsonValue &v, RunResult &s,
+                 std::string &error) = nullptr;
+    bool (*present)(const RunResult &s) = nullptr;
+};
+
+const StatBlock statBlocks[] = {
+    {"breakdown", true, breakdownFields},
+    {"misses", true, missFields},
+    {"traffic", true, trafficFields},
+    {"protocolEvents", true, eventFields},
+    {"latency", true, {}, appendLatency, readLatency},
+    {"timeseries", true, {}, appendTimeseries, readTimeseries,
+     [](const RunResult &s) { return !s.timeseries.empty(); }},
+    {"attribution", false, {}, appendAttribution, readAttribution,
+     [](const RunResult &s) { return s.attribution.enabled; }},
+    // After "latency": reading it completes the histograms.
+    {"detail", false, {}, appendDetail, readDetail},
+    {"kernel", false, kernelFields},
+};
+
+/** Point members outside statBlocks that the baseline gates. */
+const char *const gatedPointKeys[] = {"tag", "app", "config", "verified",
+                                      "execTime"};
+
+/** The record carries simulated stats: the point ran to completion. */
+bool
+hasStats(PointStatus status)
+{
+    return status == PointStatus::Ok ||
+           status == PointStatus::InvariantFailure;
+}
+
+bool
+readPoint(const JsonValue &v, SweepResult &out, std::string &error)
+{
+    out = SweepResult{};
+    RunResult &s = out.run.stats;
+    MachineParams &p = out.point.params;
+    ObjectReader r{v};
+    std::string status;
+    const JsonValue *config = r.get("config", JsonValue::Kind::Object);
+    const JsonValue *dir = r.get("directory", JsonValue::Kind::Object);
+    if (!config || !dir || !r.value("tag", out.point.tag) ||
+        !r.value("app", out.point.app) ||
+        !r.value("configHash", out.configHash) ||
+        !r.value("status", status) ||
+        !r.value("attempts", out.attempts) ||
+        !r.value("verified", out.run.verified) ||
+        !r.value("hostSeconds", out.hostSeconds))
+        return fail(error, r.problem());
+    // PointStatus runs from NotRun (the default) to Garbage.
+    while (pointStatusName(out.status) != status) {
+        if (out.status == PointStatus::Garbage)
+            return fail(error, "unknown status '" + status + "'");
+        out.status = static_cast<PointStatus>(
+            static_cast<int>(out.status) + 1);
+    }
+    if (out.status != PointStatus::Ok && !r.value("error", out.error))
+        return fail(error, r.problem());
+    const bool stats = hasStats(out.status);
+
+    // Protocol and consistency are RunResult members. The network and
+    // the directory representation are checked but not restored.
+    ObjectReader c{*config};
+    std::string network, rep;
+    if (!c.value("protocol", s.protocol) ||
+        !c.value("consistency", s.consistency) ||
+        !c.value("network", network) || !c.value("procs", p.numProcs) ||
+        !c.value("scale", out.point.scale) ||
+        !c.value("seed", out.point.seed) ||
+        !c.value("slcBytes", p.slcBytes) ||
+        !c.value("threshold", p.competitiveThreshold) ||
+        !c.value("writeCache", p.writeCacheEnabled) || !c.complete())
+        return fail(error, "config: " + c.problem());
+    if (!stats)
+        s.protocol = s.consistency = std::string();
+    ObjectReader d{*dir};
+    if (!d.value("rep", rep) || (stats && !d.fields(s, directoryFields)) ||
+        !d.complete())
+        return fail(error, "directory: " + d.problem());
+
+    if (stats) {
+        if (!r.value("execTime", s.execTime))
+            return fail(error, r.problem());
+        out.run.execTime = s.execTime;
+        for (const StatBlock &b : statBlocks) {
+            if (b.present && !v.has(b.key))
+                continue;
+            const JsonValue *block = r.get(b.key, JsonValue::Kind::Object);
+            if (!block)
+                return fail(error, r.problem());
+            bool ok = b.read ? b.read(*block, s, error)
+                             : readObject(*block, s, b.fields, error);
+            if (!ok)
+                return fail(error, std::string(b.key) + ": " + error);
+        }
+    }
+    return r.complete() || fail(error, r.problem());
+}
+
+} // anonymous namespace
+
+void
+appendRecord(std::string &out, const SweepResult &r)
+{
+    const MachineParams &p = r.point.params;
+    const RunResult &s = r.run.stats;
+    const bool stats = hasStats(r.status);
+    out += '{';
+    appendMember(out, "tag", r.point.tag);
+    appendMember(out, "app", r.point.app);
+    appendKey(out, "config");
+    out += '{';
+    appendMember(out, "protocol",
+                 stats ? s.protocol : p.protocol.name());
+    appendMember(out, "consistency",
+                 stats ? s.consistency : consistencyName(p));
+    appendMember(out, "network", networkName(p));
+    appendMember(out, "procs", p.numProcs);
+    appendMember(out, "scale", r.point.scale);
+    appendMember(out, "seed", r.point.seed);
+    appendMember(out, "slcBytes", p.slcBytes);
+    appendMember(out, "threshold", p.competitiveThreshold);
+    appendMember(out, "writeCache", p.writeCacheEnabled);
+    out += '}';
+    // A sibling of the gated blocks, never a member of "config":
+    // jsonEquals compares member counts, so a grown "config" would
+    // orphan every committed baseline.
+    appendKey(out, "directory");
+    out += '{';
+    appendMember(out, "rep", p.directory.name());
+    if (stats)
+        appendFields(out, s, directoryFields);
+    out += '}';
+    appendMember(out, "configHash", r.configHash);
+    appendMember(out, "status", pointStatusName(r.status));
+    appendMember(out, "attempts", r.attempts);
+    if (r.status != PointStatus::Ok)
+        appendMember(out, "error", r.error);
+    appendMember(out, "verified", stats && r.run.verified);
+    if (stats) {
+        appendMember(out, "execTime", s.execTime);
+        for (const StatBlock &b : statBlocks) {
+            if (b.present && !b.present(s))
+                continue;
+            appendKey(out, b.key);
+            out += '{';
+            if (b.write)
+                b.write(out, s);
+            else
+                appendFields(out, s, b.fields);
+            out += '}';
+        }
+    }
+    appendMember(out, "hostSeconds", r.hostSeconds);
+    out += '}';
+}
+
+bool
+readRecord(const std::string &text, SweepResult &out, std::string &error)
+{
+    JsonValue doc;
+    return parseJson(text, doc, error) && readPoint(doc, out, error);
+}
+
+// --- sweep results document --------------------------------------------------
 
 void
 writeJson(const std::string &path, const std::string &suite,
-          const Options &opts,
-          const std::vector<SweepResult> &results,
+          const Options &opts, const std::vector<SweepResult> &results,
           double total_host_seconds)
 {
-    std::ostringstream out;
-    auto str = [](const std::string &s) {
-        return "\"" + jsonEscape(s) + "\"";
-    };
-
     char timestamp[32] = "";
     std::time_t now = std::time(nullptr);
     std::tm tm_utc{};
@@ -1067,322 +1770,29 @@ writeJson(const std::string &path, const std::string &suite,
         std::strftime(timestamp, sizeof(timestamp),
                       "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
 
-    out << "{\n";
-    out << "  \"schema\": \"cpx-sweep-1\",\n";
-    out << "  \"suite\": " << str(suite) << ",\n";
-    out << "  \"timestamp\": " << str(timestamp) << ",\n";
-    out << "  \"jobs\": " << opts.jobs << ",\n";
-    out << "  \"scale\": " << jsonNumber(opts.scale) << ",\n";
-    out << "  \"procs\": " << opts.procs << ",\n";
-    out << "  \"simThreads\": " << opts.simThreads << ",\n";
-    out << "  \"hostSeconds\": " << jsonNumber(total_host_seconds)
-        << ",\n";
-
-    // Suite-level throughput: the perf trajectory CI tracks. Event
-    // counts are simulated (bit-identical across hosts and --jobs);
-    // only the divide by host time varies.
-    std::uint64_t total_events = 0;
-    for (const SweepResult &r : results)
-        total_events += r.run.stats.eventsExecuted;
-    out << "  \"totalEvents\": " << jsonNumber(total_events) << ",\n";
-    out << "  \"eventsPerSec\": "
-        << jsonNumber(total_host_seconds > 0
-                          ? total_events / total_host_seconds
-                          : 0.0)
-        << ",\n";
-    out << "  \"points\": [";
-
-    bool first = true;
-    for (const SweepResult &r : results) {
-        const RunResult &s = r.run.stats;
-        const MachineParams &p = r.point.params;
-        out << (first ? "\n" : ",\n");
-        first = false;
-        out << "    {\n";
-        out << "      \"tag\": " << str(r.point.tag) << ",\n";
-        out << "      \"app\": " << str(r.point.app) << ",\n";
-        out << "      \"config\": {"
-            << "\"protocol\": " << str(p.protocol.name()) << ", "
-            << "\"consistency\": "
-            << str(r.ok() ? s.consistency
-                          : std::string(
-                                p.consistency ==
-                                        Consistency::
-                                            SequentialConsistency
-                                    ? "SC"
-                                    : "RC"))
-            << ", "
-            << "\"network\": " << str(networkName(p)) << ", "
-            << "\"procs\": " << p.numProcs << ", "
-            << "\"scale\": " << jsonNumber(r.point.scale) << ", "
-            << "\"seed\": " << jsonNumber(r.point.seed) << ", "
-            << "\"slcBytes\": " << p.slcBytes << ", "
-            << "\"threshold\": " << p.competitiveThreshold << ", "
-            << "\"writeCache\": "
-            << (p.writeCacheEnabled ? "true" : "false") << "},\n";
-        // New members ride as siblings of the gated stats fields so
-        // a pre-existing baseline stays comparable (see the gated[]
-        // list in compareToBaseline). The directory block in
-        // particular must NOT join the gated "config" object:
-        // jsonEquals compares member counts, so growing "config"
-        // would orphan every committed baseline.
-        out << "      \"directory\": {"
-            << "\"rep\": " << str(p.directory.name());
-        if (r.ok())
-            out << ", \"overflowBroadcasts\": "
-                << jsonNumber(s.dirOverflowBroadcasts)
-                << ", \"pointerEvictions\": "
-                << jsonNumber(s.dirPointerEvictions);
-        out << "},\n";
-        if (!r.configHash.empty())
-            out << "      \"configHash\": " << str(r.configHash)
-                << ",\n";
-        out << "      \"status\": "
-            << str(pointStatusName(r.status)) << ",\n";
-        out << "      \"attempts\": " << r.attempts << ",\n";
-        if (!r.ok()) {
-            // Failed point: no stats were produced (or none that can
-            // be trusted) — record the classification and move on so
-            // a partially-failed suite still yields a valid file.
-            out << "      \"error\": " << str(r.error) << ",\n";
-            out << "      \"verified\": false,\n";
-            out << "      \"hostSeconds\": "
-                << jsonNumber(r.hostSeconds) << "\n";
-            out << "    }";
-            continue;
-        }
-        out << "      \"verified\": "
-            << (r.run.verified ? "true" : "false") << ",\n";
-        out << "      \"execTime\": "
-            << jsonNumber(static_cast<std::uint64_t>(r.run.execTime))
-            << ",\n";
-        out << "      \"breakdown\": {"
-            << "\"busy\": " << jsonNumber(s.busy) << ", "
-            << "\"readStall\": " << jsonNumber(s.readStall) << ", "
-            << "\"writeStall\": " << jsonNumber(s.writeStall) << ", "
-            << "\"acquireStall\": " << jsonNumber(s.acquireStall)
-            << ", "
-            << "\"releaseStall\": " << jsonNumber(s.releaseStall)
-            << "},\n";
-        out << "      \"misses\": {"
-            << "\"coldPct\": " << jsonNumber(s.coldMissRate()) << ", "
-            << "\"cohPct\": " << jsonNumber(s.cohMissRate()) << ", "
-            << "\"sharedAccesses\": " << jsonNumber(s.sharedAccesses)
-            << ", "
-            << "\"coldRead\": " << jsonNumber(s.coldReadMisses) << ", "
-            << "\"cohRead\": " << jsonNumber(s.cohReadMisses) << ", "
-            << "\"replRead\": " << jsonNumber(s.replReadMisses) << ", "
-            << "\"write\": " << jsonNumber(s.writeMissesTotal)
-            << ", "
-            << "\"avgReadLatency\": "
-            << jsonNumber(s.avgReadMissLatency) << "},\n";
-        out << "      \"traffic\": {"
-            << "\"bytes\": " << jsonNumber(s.netBytes) << ", "
-            << "\"messages\": " << jsonNumber(s.netMessages) << "},\n";
-        out << "      \"protocolEvents\": {"
-            << "\"prefetchesIssued\": "
-            << jsonNumber(s.prefetchesIssued) << ", "
-            << "\"prefetchesUseful\": "
-            << jsonNumber(s.prefetchesUseful) << ", "
-            << "\"softwarePrefetches\": "
-            << jsonNumber(s.softwarePrefetches) << ", "
-            << "\"combinedWrites\": " << jsonNumber(s.combinedWrites)
-            << ", "
-            << "\"migratoryDetections\": "
-            << jsonNumber(s.migratoryDetections) << ", "
-            << "\"invalidationsSent\": "
-            << jsonNumber(s.invalidationsSent) << "},\n";
-        auto hist = [&](const char *key, const Histogram &h,
-                        const char *tail) {
-            const Accumulator &a = h.summary();
-            out << "\"" << key << "\": {"
-                << "\"count\": " << jsonNumber(a.count()) << ", "
-                << "\"mean\": " << jsonNumber(a.mean()) << ", "
-                << "\"min\": " << jsonNumber(a.min()) << ", "
-                << "\"max\": " << jsonNumber(a.max()) << ", "
-                << "\"p50\": " << jsonNumber(h.percentile(0.50))
-                << ", "
-                << "\"p90\": " << jsonNumber(h.percentile(0.90))
-                << ", "
-                << "\"p99\": " << jsonNumber(h.percentile(0.99))
-                << ", "
-                << "\"bucketWidth\": "
-                << jsonNumber(h.bucketWidth()) << ", "
-                << "\"overflow\": "
-                << jsonNumber(h.overflowCount()) << ", "
-                << "\"buckets\": [";
-            // Trim trailing zero buckets: the geometry is fixed, so
-            // the baseline diff stays byte-stable and compact.
-            const auto &counts = h.bucketCounts();
-            std::size_t last = counts.size();
-            while (last > 0 && counts[last - 1] == 0)
-                --last;
-            for (std::size_t b = 0; b < last; ++b)
-                out << (b ? ", " : "") << jsonNumber(counts[b]);
-            out << "]}" << tail;
-        };
-        out << "      \"latency\": {";
-        hist("readMiss", s.readMissLatency, ", ");
-        hist("ownership", s.ownershipLatency, ", ");
-        hist("prefetchFill", s.prefetchFillLatency, "},\n");
-        // Optional: interval-sampled series (--sample-interval > 0).
-        // Deltas are row-major, one inner array per sampled window;
-        // columns follow "metrics" order (DESIGN.md §13).
-        if (!s.timeseries.empty()) {
-            const MetricTimeSeries &ts = s.timeseries;
-            out << "      \"timeseries\": {\n";
-            out << "        \"interval\": "
-                << jsonNumber(static_cast<std::uint64_t>(ts.interval))
-                << ",\n";
-            out << "        \"metrics\": [";
-            for (std::size_t m = 0; m < ts.names.size(); ++m)
-                out << (m ? ", " : "") << str(ts.names[m]);
-            out << "],\n";
-            out << "        \"ticks\": [";
-            for (std::size_t row = 0; row < ts.ticks.size(); ++row)
-                out << (row ? ", " : "")
-                    << jsonNumber(
-                           static_cast<std::uint64_t>(ts.ticks[row]));
-            out << "],\n";
-            out << "        \"deltas\": [";
-            for (std::size_t row = 0; row < ts.rows(); ++row) {
-                out << (row ? ",\n          [" : "\n          [");
-                for (std::size_t m = 0; m < ts.names.size(); ++m)
-                    out << (m ? ", " : "")
-                        << jsonNumber(ts.at(row, m));
-                out << "]";
-            }
-            out << "\n        ]\n      },\n";
-        }
-        // Optional: causal stall attribution (--attrib). Like the
-        // timeseries block, a sibling of the gated stats fields, so a
-        // baseline captured without --attrib stays byte-comparable to
-        // an attributed run and vice versa (DESIGN.md §17).
-        if (s.attribution.enabled) {
-            const AttributionResult &ar = s.attribution;
-            out << "      \"attribution\": {\n";
-            out << "        \"classes\": {";
-            bool first_cls = true;
-            for (unsigned c = 0; c < numAttribClasses; ++c) {
-                const AttribSegments &seg = ar.classes[c];
-                if (!seg.count)
-                    continue;  // zero rows restore to the default
-                out << (first_cls ? "\n" : ",\n");
-                first_cls = false;
-                out << "          \"" << attribClassName(c) << "\": {"
-                    << "\"count\": " << jsonNumber(seg.count) << ", "
-                    << "\"latency\": " << jsonNumber(seg.latency)
-                    << ", "
-                    << "\"request\": " << jsonNumber(seg.request)
-                    << ", "
-                    << "\"dirQueue\": " << jsonNumber(seg.dirQueue)
-                    << ", "
-                    << "\"dirService\": "
-                    << jsonNumber(seg.dirService) << ", "
-                    << "\"ownerFetch\": "
-                    << jsonNumber(seg.ownerFetch) << ", "
-                    << "\"invalFanout\": "
-                    << jsonNumber(seg.invalFanout) << ", "
-                    << "\"ackCollect\": "
-                    << jsonNumber(seg.ackCollect) << ", "
-                    << "\"dataReturn\": "
-                    << jsonNumber(seg.dataReturn) << ", "
-                    << "\"fill\": " << jsonNumber(seg.fill) << ", "
-                    << "\"dataHops\": " << jsonNumber(seg.dataHops)
-                    << "}";
-            }
-            out << (first_cls ? "},\n" : "\n        },\n");
-            out << "        \"locks\": {"
-                << "\"count\": " << jsonNumber(ar.locks.count) << ", "
-                << "\"latency\": " << jsonNumber(ar.locks.latency)
-                << ", "
-                << "\"homeQueue\": " << jsonNumber(ar.locks.homeQueue)
-                << ", "
-                << "\"transfer\": " << jsonNumber(ar.locks.transfer)
-                << "},\n";
-            out << "        \"homes\": [";
-            for (std::size_t i = 0; i < ar.homes.size(); ++i) {
-                const AttribHomeStats &h = ar.homes[i];
-                out << (i ? ",\n          {" : "\n          {")
-                    << "\"node\": " << h.node << ", "
-                    << "\"dirRequests\": "
-                    << jsonNumber(h.dirRequests) << ", "
-                    << "\"dirWaitTotal\": "
-                    << jsonNumber(h.dirWaitTotal) << ", "
-                    << "\"dirWaitP99\": " << jsonNumber(h.dirWaitP99)
-                    << ", "
-                    << "\"lockGrants\": " << jsonNumber(h.lockGrants)
-                    << ", "
-                    << "\"lockWaitTotal\": "
-                    << jsonNumber(h.lockWaitTotal) << ", "
-                    << "\"lockWaitP99\": "
-                    << jsonNumber(h.lockWaitP99) << "}";
-            }
-            out << (ar.homes.empty() ? "],\n" : "\n        ],\n");
-            auto hot = [&](const char *key,
-                           const std::vector<AttribHotSpot> &rows) {
-                out << "        \"" << key << "\": [";
-                for (std::size_t i = 0; i < rows.size(); ++i) {
-                    const AttribHotSpot &h = rows[i];
-                    out << (i ? ",\n          {" : "\n          {")
-                        << "\"addr\": "
-                        << jsonNumber(
-                               static_cast<std::uint64_t>(h.addr))
-                        << ", "
-                        << "\"home\": " << h.home << ", "
-                        << "\"count\": " << jsonNumber(h.count)
-                        << ", "
-                        << "\"totalWait\": "
-                        << jsonNumber(h.totalWait) << ", "
-                        << "\"p99Wait\": " << jsonNumber(h.p99Wait)
-                        << "}";
-                }
-                out << (rows.empty() ? "],\n" : "\n        ],\n");
-            };
-            hot("hotBlocks", ar.hotBlocks);
-            hot("hotLocks", ar.hotLocks);
-            out << "        \"matchedTxns\": "
-                << jsonNumber(ar.matchedTxns) << ",\n";
-            out << "        \"unmatchedDir\": "
-                << jsonNumber(ar.unmatchedDir) << ",\n";
-            out << "        \"matchedLocks\": "
-                << jsonNumber(ar.matchedLocks) << ",\n";
-            out << "        \"unmatchedLocks\": "
-                << jsonNumber(ar.unmatchedLocks) << ",\n";
-            out << "        \"fanoutTotal\": "
-                << jsonNumber(ar.fanoutTotal) << ",\n";
-            out << "        \"fanoutImprecise\": "
-                << jsonNumber(ar.fanoutImprecise) << "\n";
-            out << "      },\n";
-        }
-        out << "      \"kernel\": {"
-            << "\"eventsExecuted\": " << jsonNumber(s.eventsExecuted)
-            << ", "
-            << "\"peakPendingEvents\": "
-            << jsonNumber(s.peakPendingEvents) << ", "
-            << "\"scheduleAllocs\": " << jsonNumber(s.scheduleAllocs)
-            << ", "
-            << "\"slabRounds\": " << jsonNumber(s.slabRounds) << ", "
-            << "\"crossMessages\": " << jsonNumber(s.crossMessages)
-            << ", "
-            << "\"lookahead\": " << jsonNumber(s.lookahead) << ", "
-            << "\"simThreads\": " << s.simThreads << ", "
-            << "\"eventsPerSec\": "
-            << jsonNumber(r.hostSeconds > 0
-                              ? s.eventsExecuted / r.hostSeconds
-                              : 0.0)
-            << "},\n";
-        out << "      \"hostSeconds\": " << jsonNumber(r.hostSeconds)
-            << "\n";
-        out << "    }";
+    std::string out = "{\n  \"schema\": \"cpx-sweep-1\",\n  \"suite\": ";
+    appendString(out, suite);
+    out += ",\n  \"timestamp\": ";
+    appendString(out, timestamp);
+    out += ",\n  \"jobs\": ";
+    appendValue(out, opts.jobs);
+    out += ",\n  \"scale\": ";
+    appendValue(out, opts.scale);
+    out += ",\n  \"procs\": ";
+    appendValue(out, opts.procs);
+    out += ",\n  \"simThreads\": ";
+    appendValue(out, opts.simThreads);
+    out += ",\n  \"hostSeconds\": ";
+    appendValue(out, total_host_seconds);
+    out += ",\n  \"points\": [";
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        out += i ? ",\n    " : "\n    ";
+        appendRecord(out, results[i]);
     }
-    out << "\n  ]\n}\n";
+    out += "\n  ]\n}\n";
 
-    // Atomic replace (tmp + fsync + rename): a crash mid-write must
-    // never leave a torn results file behind to poison a later
-    // --baseline comparison.
     std::string error;
-    if (!atomicWriteFile(path, out.str(), ".tmp", error))
+    if (!atomicWriteFile(path, out, ".tmp", error))
         fatal("%s", error.c_str());
 }
 
@@ -1404,6 +1814,7 @@ struct JsonParser
 {
     const std::string &text;
     std::size_t pos = 0;
+    unsigned depth = 0;  //!< open arrays/objects
     std::string error;
 
     explicit JsonParser(const std::string &t) : text(t) {}
@@ -1511,60 +1922,76 @@ struct JsonParser
     }
 
     bool
+    parseObject(JsonValue &out)
+    {
+        ++pos;
+        out.kind = JsonValue::Kind::Object;
+        skipSpace();
+        if (pos < text.size() && text[pos] == '}') {
+            ++pos;
+            return true;
+        }
+        for (;;) {
+            std::string key;
+            if (!parseString(key))
+                return false;
+            if (!consume(':'))
+                return false;
+            JsonValue member;
+            if (!parseValue(member))
+                return false;
+            out.members.emplace(std::move(key), std::move(member));
+            skipSpace();
+            if (pos < text.size() && text[pos] == ',') {
+                ++pos;
+                skipSpace();
+                continue;
+            }
+            return consume('}');
+        }
+    }
+
+    bool
+    parseArray(JsonValue &out)
+    {
+        ++pos;
+        out.kind = JsonValue::Kind::Array;
+        skipSpace();
+        if (pos < text.size() && text[pos] == ']') {
+            ++pos;
+            return true;
+        }
+        for (;;) {
+            JsonValue item;
+            if (!parseValue(item))
+                return false;
+            out.items.push_back(std::move(item));
+            skipSpace();
+            if (pos < text.size() && text[pos] == ',') {
+                ++pos;
+                continue;
+            }
+            return consume(']');
+        }
+    }
+
+    bool
     parseValue(JsonValue &out)
     {
         skipSpace();
         if (pos >= text.size())
             return fail("unexpected end of input");
         char c = text[pos];
-        if (c == '{') {
-            ++pos;
-            out.kind = JsonValue::Kind::Object;
-            skipSpace();
-            if (pos < text.size() && text[pos] == '}') {
-                ++pos;
-                return true;
-            }
-            for (;;) {
-                std::string key;
-                if (!parseString(key))
-                    return false;
-                if (!consume(':'))
-                    return false;
-                JsonValue member;
-                if (!parseValue(member))
-                    return false;
-                out.members.emplace(std::move(key),
-                                    std::move(member));
-                skipSpace();
-                if (pos < text.size() && text[pos] == ',') {
-                    ++pos;
-                    skipSpace();
-                    continue;
-                }
-                return consume('}');
-            }
-        }
-        if (c == '[') {
-            ++pos;
-            out.kind = JsonValue::Kind::Array;
-            skipSpace();
-            if (pos < text.size() && text[pos] == ']') {
-                ++pos;
-                return true;
-            }
-            for (;;) {
-                JsonValue item;
-                if (!parseValue(item))
-                    return false;
-                out.items.push_back(std::move(item));
-                skipSpace();
-                if (pos < text.size() && text[pos] == ',') {
-                    ++pos;
-                    continue;
-                }
-                return consume(']');
-            }
+        if (c == '{' || c == '[') {
+            // Bounded recursion: a line of brackets is a parse error,
+            // not a stack overflow.
+            if (depth == jsonMaxDepth)
+                return fail("nesting deeper than " +
+                            std::to_string(jsonMaxDepth) + " levels");
+            ++depth;
+            bool ok = c == '{' ? parseObject(out) : parseArray(out);
+            --depth;
+            return ok;
         }
         if (c == '"') {
             out.kind = JsonValue::Kind::String;
@@ -1586,8 +2013,6 @@ struct JsonParser
         }
         // Number.
         std::size_t start = pos;
-        if (pos < text.size() && text[pos] == '-')
-            ++pos;
         while (pos < text.size() &&
                (std::isdigit(static_cast<unsigned char>(text[pos])) ||
                 text[pos] == '.' || text[pos] == 'e' ||
@@ -1602,9 +2027,9 @@ struct JsonParser
         out.number = std::strtod(num.c_str(), &end);
         if (!end || *end != '\0')
             return fail("malformed number '" + num + "'");
-        // Keep the raw token: integer consumers (the subprocess wire
-        // format) reread it with strtoull so values beyond 2^53
-        // survive exactly; the double above is lossy there.
+        // Keep the raw token: integer consumers (the record reader)
+        // reread it exactly, so values beyond 2^53 survive; the
+        // double above is lossy there.
         out.text = std::move(num);
         return true;
     }
@@ -1629,9 +2054,12 @@ parseJson(const std::string &text, JsonValue &out, std::string &error)
     return true;
 }
 
+namespace
+{
+
+/** Read a file and parse it as JSON. */
 bool
-validateResultsFile(const std::string &path, std::string &error,
-                    bool allow_failed)
+loadJsonFile(const std::string &path, JsonValue &doc, std::string &error)
 {
     std::ifstream file(path, std::ios::binary);
     if (!file) {
@@ -1640,24 +2068,54 @@ validateResultsFile(const std::string &path, std::string &error,
     }
     std::ostringstream text;
     text << file.rdbuf();
-
-    JsonValue doc;
     if (!parseJson(text.str(), doc, error)) {
         error = path + ": " + error;
         return false;
     }
-    if (doc.kind != JsonValue::Kind::Object ||
-        !doc.has("schema") ||
+    return true;
+}
+
+/** Read a file and parse it as a cpx-sweep-1 document. */
+bool
+loadSweepDoc(const std::string &path, JsonValue &doc,
+             std::string &error)
+{
+    if (!loadJsonFile(path, doc, error))
+        return false;
+    if (doc.kind != JsonValue::Kind::Object || !doc.has("schema") ||
         doc.at("schema").text != "cpx-sweep-1") {
         error = path + ": missing cpx-sweep-1 schema marker";
         return false;
     }
+    return true;
+}
+
+std::string
+pointLabel(const JsonValue &point)
+{
+    std::string label =
+        point.has("tag") ? point.at("tag").text : std::string();
+    if (point.has("app"))
+        label += (label.empty() ? "" : "/") + point.at("app").text;
+    return label.empty() ? "?" : label;
+}
+
+} // anonymous namespace
+
+bool
+validateResultsFile(const std::string &path, std::string &error,
+                    bool allow_failed)
+{
+    JsonValue doc;
+    if (!loadSweepDoc(path, doc, error))
+        return false;
     if (!doc.has("points") ||
         doc.at("points").kind != JsonValue::Kind::Array ||
         doc.at("points").items.empty()) {
         error = path + ": no sweep points recorded";
         return false;
     }
+    RunResult parsed;
     std::string failed;
     for (const JsonValue &point : doc.at("points").items) {
         if (point.kind != JsonValue::Kind::Object ||
@@ -1677,11 +2135,8 @@ validateResultsFile(const std::string &path, std::string &error,
                         "message";
                 return false;
             }
-            failed += "\n  [" + status + "] '" +
-                      (point.has("tag") ? point.at("tag").text
-                                        : std::string()) +
-                      "' app=" + point.at("app").text + ": " +
-                      point.at("error").text;
+            failed += "\n  [" + status + "] " + pointLabel(point) +
+                      ": " + point.at("error").text;
             continue;
         }
         if (!point.has("execTime")) {
@@ -1689,79 +2144,18 @@ validateResultsFile(const std::string &path, std::string &error,
             return false;
         }
         if (!point.at("verified").boolean) {
-            failed += "\n  [unverified] '" +
-                      (point.has("tag") ? point.at("tag").text
-                                        : std::string()) +
-                      "' app=" + point.at("app").text;
+            failed += "\n  [unverified] " + pointLabel(point);
             continue;
         }
-        // The timeseries block is optional (only sampled runs carry
-        // it), but when present it must be structurally sound: a
-        // positive interval, named columns, and a rectangular deltas
-        // matrix with one end tick per row.
-        if (point.has("timeseries")) {
-            const JsonValue &ts = point.at("timeseries");
-            if (ts.kind != JsonValue::Kind::Object ||
-                !ts.has("interval") || !ts.has("metrics") ||
-                !ts.has("ticks") || !ts.has("deltas")) {
-                error = path + ": malformed timeseries block";
+        // The optional blocks (timeseries, attribution), when present,
+        // must read back as the record reader reads them.
+        for (const StatBlock &b : statBlocks) {
+            if (!b.present || !point.has(b.key))
+                continue;
+            std::string why;
+            if (!b.read(point.at(b.key), parsed, why)) {
+                error = path + ": malformed " + b.key + " block: " + why;
                 return false;
-            }
-            if (ts.at("interval").number <= 0) {
-                error = path + ": timeseries interval must be > 0";
-                return false;
-            }
-            const auto &metrics = ts.at("metrics").items;
-            const auto &ticks = ts.at("ticks").items;
-            const auto &deltas = ts.at("deltas").items;
-            if (ts.at("metrics").kind != JsonValue::Kind::Array ||
-                metrics.empty()) {
-                error = path + ": timeseries has no metrics";
-                return false;
-            }
-            if (deltas.size() != ticks.size()) {
-                error = path + ": timeseries has " +
-                        std::to_string(deltas.size()) +
-                        " delta rows but " +
-                        std::to_string(ticks.size()) + " ticks";
-                return false;
-            }
-            for (const JsonValue &row : deltas) {
-                if (row.kind != JsonValue::Kind::Array ||
-                    row.items.size() != metrics.size()) {
-                    error = path + ": ragged timeseries delta row";
-                    return false;
-                }
-            }
-        }
-        // The attribution block is likewise optional (--attrib runs
-        // only); when present it must carry the full shape cpxreport
-        // renders from.
-        if (point.has("attribution")) {
-            const JsonValue &ar = point.at("attribution");
-            if (ar.kind != JsonValue::Kind::Object ||
-                !ar.has("classes") || !ar.has("locks") ||
-                !ar.has("homes") || !ar.has("hotBlocks") ||
-                !ar.has("hotLocks") || !ar.has("matchedTxns")) {
-                error = path + ": malformed attribution block";
-                return false;
-            }
-            if (ar.at("classes").kind != JsonValue::Kind::Object ||
-                ar.at("homes").kind != JsonValue::Kind::Array ||
-                ar.at("hotBlocks").kind != JsonValue::Kind::Array ||
-                ar.at("hotLocks").kind != JsonValue::Kind::Array) {
-                error = path + ": malformed attribution block";
-                return false;
-            }
-            for (const auto &[name, row] :
-                 ar.at("classes").members) {
-                if (row.kind != JsonValue::Kind::Object ||
-                    !row.has("count") || !row.has("latency") ||
-                    !row.has("dirQueue")) {
-                    error = path + ": malformed attribution class '" +
-                            name + "'";
-                    return false;
-                }
             }
         }
     }
@@ -1775,19 +2169,9 @@ validateResultsFile(const std::string &path, std::string &error,
 bool
 validateTraceFile(const std::string &path, std::string &error)
 {
-    std::ifstream file(path, std::ios::binary);
-    if (!file) {
-        error = "cannot open '" + path + "'";
-        return false;
-    }
-    std::ostringstream text;
-    text << file.rdbuf();
-
     JsonValue doc;
-    if (!parseJson(text.str(), doc, error)) {
-        error = path + ": " + error;
+    if (!loadJsonFile(path, doc, error))
         return false;
-    }
     if (doc.kind != JsonValue::Kind::Object ||
         !doc.has("traceEvents") ||
         doc.at("traceEvents").kind != JsonValue::Kind::Array) {
@@ -1807,7 +2191,6 @@ validateTraceFile(const std::string &path, std::string &error)
     // numeric args.value and be non-decreasing in time per track.
     std::map<std::string, long> open_spans;
     std::map<std::string, double> counter_last_ts;
-    std::size_t spans = 0;
     for (const JsonValue &ev : events) {
         if (ev.kind != JsonValue::Kind::Object || !ev.has("ph") ||
             !ev.has("pid")) {
@@ -1827,7 +2210,6 @@ validateTraceFile(const std::string &path, std::string &error)
                 return false;
             }
             open_spans[ev.at("id").text] += ph == "b" ? 1 : -1;
-            ++spans;
         } else if (ph == "C") {
             if (!ev.has("args") ||
                 ev.at("args").kind != JsonValue::Kind::Object ||
@@ -1858,36 +2240,11 @@ validateTraceFile(const std::string &path, std::string &error)
             return false;
         }
     }
-    (void)spans;
     return true;
 }
 
 namespace
 {
-
-/** Read a file and parse it as a cpx-sweep-1 document. */
-bool
-loadSweepDoc(const std::string &path, JsonValue &doc,
-             std::string &error)
-{
-    std::ifstream file(path, std::ios::binary);
-    if (!file) {
-        error = "cannot open '" + path + "'";
-        return false;
-    }
-    std::ostringstream text;
-    text << file.rdbuf();
-    if (!parseJson(text.str(), doc, error)) {
-        error = path + ": " + error;
-        return false;
-    }
-    if (doc.kind != JsonValue::Kind::Object || !doc.has("schema") ||
-        doc.at("schema").text != "cpx-sweep-1") {
-        error = path + ": missing cpx-sweep-1 schema marker";
-        return false;
-    }
-    return true;
-}
 
 bool
 jsonEquals(const JsonValue &a, const JsonValue &b)
@@ -1926,22 +2283,13 @@ jsonEquals(const JsonValue &a, const JsonValue &b)
     return false;
 }
 
-std::string
-pointLabel(const JsonValue &point)
-{
-    std::string label =
-        point.has("tag") ? point.at("tag").text : std::string();
-    if (point.has("app"))
-        label += (label.empty() ? "" : "/") + point.at("app").text;
-    return label.empty() ? "?" : label;
-}
 
 } // anonymous namespace
 
 bool
 compareToBaseline(const std::string &path,
                   const std::string &baseline_path,
-                  std::string &error, std::string &warning)
+                  std::string &error)
 {
     JsonValue cur, base;
     if (!loadSweepDoc(path, cur, error) ||
@@ -1962,13 +2310,14 @@ compareToBaseline(const std::string &path,
         return false;
     }
 
-    // Every simulated stat is gated; hostSeconds and the kernel
-    // throughput block are host-dependent and exempt.
-    static const char *const gated[] = {
-        "tag",      "app",    "config",  "verified",
-        "execTime", "breakdown", "misses", "traffic",
-        "protocolEvents", "latency", "timeseries",
-    };
+    // The point's identity and every gated stat block; the record's
+    // other members (host time, kernel telemetry, observer output)
+    // are exempt.
+    std::vector<const char *> gated(std::begin(gatedPointKeys),
+                                    std::end(gatedPointKeys));
+    for (const StatBlock &b : statBlocks)
+        if (b.gated)
+            gated.push_back(b.key);
     // Collect every divergent point (with its config hash, so the
     // culprit can be re-run or evicted from a result cache by name)
     // instead of bailing at the first: one look at the message shows
@@ -2006,673 +2355,6 @@ compareToBaseline(const std::string &path,
                      " more";
         return false;
     }
-
-    if (cur.has("eventsPerSec") && base.has("eventsPerSec")) {
-        double now = cur.at("eventsPerSec").number;
-        double then = base.at("eventsPerSec").number;
-        if (then > 0 && now < 0.8 * then) {
-            char buf[160];
-            std::snprintf(buf, sizeof(buf),
-                          "events/sec regressed >20%% vs baseline: "
-                          "%.3g now vs %.3g then",
-                          now, then);
-            warning = buf;
-        }
-    }
-    return true;
-}
-
-bool
-printPerfSummary(const std::string &path, std::string &error,
-                 const std::string &reference_path)
-{
-    JsonValue doc;
-    if (!loadSweepDoc(path, doc, error))
-        return false;
-
-    auto num = [&doc](const char *key) {
-        return doc.has(key) ? doc.at(key).number : 0.0;
-    };
-    std::printf("perf summary for %s\n", path.c_str());
-    std::printf("  suite:        %s\n",
-                doc.has("suite") ? doc.at("suite").text.c_str() : "?");
-    std::printf("  timestamp:    %s\n",
-                doc.has("timestamp") ? doc.at("timestamp").text.c_str()
-                                     : "?");
-    std::printf("  points:       %zu\n",
-                doc.has("points") ? doc.at("points").items.size() : 0);
-    std::printf("  simThreads:   %.0f\n",
-                doc.has("simThreads") ? doc.at("simThreads").number
-                                      : 1.0);
-    std::printf("  hostSeconds:  %.2f\n", num("hostSeconds"));
-    std::printf("  totalEvents:  %.0f\n", num("totalEvents"));
-    std::printf("  eventsPerSec: %.3g\n", num("eventsPerSec"));
-
-    if (!reference_path.empty()) {
-        JsonValue ref;
-        if (!loadSweepDoc(reference_path, ref, error))
-            return false;
-        auto rnum = [&ref](const char *key) {
-            return ref.has(key) ? ref.at(key).number : 0.0;
-        };
-        double ref_threads =
-            ref.has("simThreads") ? ref.at("simThreads").number : 1.0;
-        double cur_secs = num("hostSeconds");
-        double ref_secs = rnum("hostSeconds");
-        double cur_eps = num("eventsPerSec");
-        double ref_eps = rnum("eventsPerSec");
-        std::printf("  speedup vs %s (simThreads=%.0f):\n",
-                    reference_path.c_str(), ref_threads);
-        std::printf("    wall-clock:  %.2fx (%.2fs vs %.2fs)\n",
-                    cur_secs > 0 ? ref_secs / cur_secs : 0.0,
-                    cur_secs, ref_secs);
-        std::printf("    events/sec:  %.2fx (%.3g vs %.3g)\n",
-                    ref_eps > 0 ? cur_eps / ref_eps : 0.0, cur_eps,
-                    ref_eps);
-    }
-
-    if (!doc.has("points"))
-        return true;
-    // Per-tag aggregation, in first-appearance order.
-    std::vector<std::string> order;
-    std::map<std::string, std::pair<double, double>> by_tag;
-    for (const JsonValue &p : doc.at("points").items) {
-        if (p.kind != JsonValue::Kind::Object || !p.has("tag"))
-            continue;
-        const std::string &tag = p.at("tag").text;
-        if (!by_tag.count(tag))
-            order.push_back(tag);
-        auto &[events, secs] = by_tag[tag];
-        if (p.has("kernel") && p.at("kernel").has("eventsExecuted"))
-            events += p.at("kernel").at("eventsExecuted").number;
-        if (p.has("hostSeconds"))
-            secs += p.at("hostSeconds").number;
-    }
-    if (!order.empty()) {
-        std::printf("  %-18s %14s %12s %14s\n", "tag", "events",
-                    "hostSec", "events/sec");
-        for (const std::string &tag : order) {
-            auto [events, secs] = by_tag[tag];
-            std::printf("  %-18s %14.0f %12.3f %14.4g\n", tag.c_str(),
-                        events, secs, secs > 0 ? events / secs : 0.0);
-        }
-    }
-    return true;
-}
-
-// --- subprocess wire format (cpx-wire-1) -----------------------------------
-//
-// One JSON object per line; a worker writes exactly one before
-// exiting, and the journal is a sequence of them. Every stat is
-// carried at full fidelity — u64 counters as exact decimal integers
-// (reread with strtoull, not through a double), doubles as %.17g
-// (round-trips exactly) — so a result that crossed the pipe or was
-// reloaded from a journal is bit-identical to one computed in
-// process.
-
-namespace
-{
-
-bool
-pointStatusFromName(const std::string &name, PointStatus &out)
-{
-    static const PointStatus all[] = {
-        PointStatus::NotRun,      PointStatus::Ok,
-        PointStatus::NonzeroExit, PointStatus::Signal,
-        PointStatus::Timeout,     PointStatus::InvariantFailure,
-        PointStatus::Garbage,
-    };
-    for (PointStatus s : all) {
-        if (name == pointStatusName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-serializeHistogram(std::ostringstream &out, const Histogram &h)
-{
-    const Accumulator &a = h.summary();
-    out << "{\"buckets\":[";
-    const auto &counts = h.bucketCounts();
-    std::size_t last = counts.size();
-    while (last > 0 && counts[last - 1] == 0)
-        --last;
-    for (std::size_t b = 0; b < last; ++b)
-        out << (b ? "," : "") << jsonNumber(counts[b]);
-    out << "],\"overflow\":" << jsonNumber(h.overflowCount())
-        << ",\"count\":" << jsonNumber(a.count())
-        << ",\"sum\":" << jsonNumber(a.sum())
-        << ",\"min\":" << jsonNumber(a.min())
-        << ",\"max\":" << jsonNumber(a.max()) << "}";
-}
-
-/**
- * Field accessors over a parsed wire object that collect the first
- * missing/mistyped member into @p error instead of fatal()ing like
- * JsonValue::at — a corrupt journal line must be reportable, not a
- * process abort.
- */
-struct WireReader
-{
-    const JsonValue &obj;
-    std::string &error;
-    bool ok = true;
-
-    const JsonValue *
-    get(const char *key, JsonValue::Kind kind)
-    {
-        if (!ok)
-            return nullptr;
-        auto it = obj.members.find(key);
-        if (it == obj.members.end() || it->second.kind != kind) {
-            error = std::string("missing or mistyped '") + key + "'";
-            ok = false;
-            return nullptr;
-        }
-        return &it->second;
-    }
-
-    double
-    num(const char *key)
-    {
-        const JsonValue *v = get(key, JsonValue::Kind::Number);
-        return v ? v->number : 0.0;
-    }
-
-    std::uint64_t
-    u64(const char *key)
-    {
-        const JsonValue *v = get(key, JsonValue::Kind::Number);
-        return v ? jsonU64(*v) : 0;
-    }
-
-    /**
-     * Like u64(), but an absent member yields @p fallback instead of
-     * failing the record. For fields added to cpx-wire-1 after its
-     * introduction (the parallel-kernel telemetry): journals and
-     * caches written by older binaries stay loadable.
-     */
-    std::uint64_t
-    u64Opt(const char *key, std::uint64_t fallback)
-    {
-        if (!ok)
-            return fallback;
-        auto it = obj.members.find(key);
-        if (it == obj.members.end())
-            return fallback;
-        if (it->second.kind != JsonValue::Kind::Number) {
-            error = std::string("mistyped '") + key + "'";
-            ok = false;
-            return fallback;
-        }
-        return jsonU64(it->second);
-    }
-
-    std::string
-    str(const char *key)
-    {
-        const JsonValue *v = get(key, JsonValue::Kind::String);
-        return v ? v->text : std::string();
-    }
-
-    bool
-    boolean(const char *key)
-    {
-        const JsonValue *v = get(key, JsonValue::Kind::Bool);
-        return v && v->boolean;
-    }
-};
-
-bool
-parseHistogram(const JsonValue &v, Histogram &h, std::string &error)
-{
-    if (v.kind != JsonValue::Kind::Object) {
-        error = "histogram is not an object";
-        return false;
-    }
-    WireReader r{v, error};
-    const JsonValue *buckets =
-        r.get("buckets", JsonValue::Kind::Array);
-    std::uint64_t overflow = r.u64("overflow");
-    std::uint64_t count = r.u64("count");
-    double sum = r.num("sum"), min = r.num("min"),
-           max = r.num("max");
-    if (!r.ok)
-        return false;
-    std::vector<std::uint64_t> counts;
-    counts.reserve(buckets->items.size());
-    for (const JsonValue &item : buckets->items) {
-        if (item.kind != JsonValue::Kind::Number) {
-            error = "non-numeric histogram bucket";
-            return false;
-        }
-        counts.push_back(jsonU64(item));
-    }
-    Accumulator acc;
-    acc.restore(count, sum, min, max);
-    if (!h.restore(counts, overflow, acc)) {
-        error = "histogram geometry mismatch (" +
-                std::to_string(counts.size()) + " buckets)";
-        return false;
-    }
-    return true;
-}
-
-} // anonymous namespace
-
-std::string
-serializeWireResult(const SweepResult &res)
-{
-    std::ostringstream out;
-    auto str = [](const std::string &s) {
-        return "\"" + jsonEscape(s) + "\"";
-    };
-    out << "{\"schema\":\"cpx-wire-1\""
-        << ",\"hash\":" << str(res.configHash)
-        << ",\"status\":" << str(pointStatusName(res.status))
-        << ",\"error\":" << str(res.error)
-        << ",\"attempts\":" << res.attempts
-        << ",\"hostSeconds\":" << jsonNumber(res.hostSeconds);
-
-    // Only outcomes that actually produced stats carry the payload;
-    // crash/timeout/garbage records are classification-only.
-    const bool payload = res.status == PointStatus::Ok ||
-                         res.status == PointStatus::InvariantFailure;
-    if (payload) {
-        const RunResult &s = res.run.stats;
-        out << ",\"execTime\":"
-            << jsonNumber(static_cast<std::uint64_t>(res.run.execTime))
-            << ",\"verified\":"
-            << (res.run.verified ? "true" : "false");
-        out << ",\"stats\":{"
-            << "\"protocol\":" << str(s.protocol)
-            << ",\"consistency\":" << str(s.consistency)
-            << ",\"execTime\":"
-            << jsonNumber(static_cast<std::uint64_t>(s.execTime))
-            << ",\"busy\":" << jsonNumber(s.busy)
-            << ",\"readStall\":" << jsonNumber(s.readStall)
-            << ",\"writeStall\":" << jsonNumber(s.writeStall)
-            << ",\"acquireStall\":" << jsonNumber(s.acquireStall)
-            << ",\"releaseStall\":" << jsonNumber(s.releaseStall)
-            << ",\"sharedAccesses\":" << jsonNumber(s.sharedAccesses)
-            << ",\"coldReadMisses\":" << jsonNumber(s.coldReadMisses)
-            << ",\"cohReadMisses\":" << jsonNumber(s.cohReadMisses)
-            << ",\"replReadMisses\":" << jsonNumber(s.replReadMisses)
-            << ",\"writeMissesTotal\":"
-            << jsonNumber(s.writeMissesTotal)
-            << ",\"netBytes\":" << jsonNumber(s.netBytes)
-            << ",\"netMessages\":" << jsonNumber(s.netMessages);
-        out << ",\"classBytes\":[";
-        constexpr unsigned num_classes =
-            static_cast<unsigned>(MsgClass::NumClasses);
-        for (unsigned k = 0; k < num_classes; ++k)
-            out << (k ? "," : "") << jsonNumber(s.classBytes[k]);
-        out << "]";
-        out << ",\"ownershipRequests\":"
-            << jsonNumber(s.ownershipRequests)
-            << ",\"invalidationsSent\":"
-            << jsonNumber(s.invalidationsSent)
-            << ",\"updatesForwarded\":"
-            << jsonNumber(s.updatesForwarded)
-            << ",\"migratoryDetections\":"
-            << jsonNumber(s.migratoryDetections)
-            << ",\"prefetchesIssued\":"
-            << jsonNumber(s.prefetchesIssued)
-            << ",\"prefetchesUseful\":"
-            << jsonNumber(s.prefetchesUseful)
-            << ",\"softwarePrefetches\":"
-            << jsonNumber(s.softwarePrefetches)
-            << ",\"combinedWrites\":" << jsonNumber(s.combinedWrites)
-            << ",\"counterInvalidations\":"
-            << jsonNumber(s.counterInvalidations)
-            << ",\"dirOverflowBroadcasts\":"
-            << jsonNumber(s.dirOverflowBroadcasts)
-            << ",\"dirPointerEvictions\":"
-            << jsonNumber(s.dirPointerEvictions)
-            << ",\"avgReadMissLatency\":"
-            << jsonNumber(s.avgReadMissLatency);
-        out << ",\"readMissLatency\":";
-        serializeHistogram(out, s.readMissLatency);
-        out << ",\"ownershipLatency\":";
-        serializeHistogram(out, s.ownershipLatency);
-        out << ",\"prefetchFillLatency\":";
-        serializeHistogram(out, s.prefetchFillLatency);
-        out << ",\"eventsExecuted\":" << jsonNumber(s.eventsExecuted)
-            << ",\"peakPendingEvents\":"
-            << jsonNumber(s.peakPendingEvents)
-            << ",\"scheduleAllocs\":"
-            << jsonNumber(s.scheduleAllocs)
-            << ",\"slabRounds\":" << jsonNumber(s.slabRounds)
-            << ",\"crossMessages\":" << jsonNumber(s.crossMessages)
-            << ",\"lookahead\":" << jsonNumber(s.lookahead)
-            << ",\"simThreads\":" << s.simThreads;
-        if (!s.timeseries.empty()) {
-            const MetricTimeSeries &ts = s.timeseries;
-            out << ",\"timeseries\":{\"interval\":"
-                << jsonNumber(static_cast<std::uint64_t>(ts.interval))
-                << ",\"metrics\":[";
-            for (std::size_t m = 0; m < ts.names.size(); ++m)
-                out << (m ? "," : "") << str(ts.names[m]);
-            out << "],\"ticks\":[";
-            for (std::size_t i = 0; i < ts.ticks.size(); ++i)
-                out << (i ? "," : "")
-                    << jsonNumber(
-                           static_cast<std::uint64_t>(ts.ticks[i]));
-            out << "],\"deltas\":[";
-            for (std::size_t i = 0; i < ts.deltas.size(); ++i)
-                out << (i ? "," : "") << jsonNumber(ts.deltas[i]);
-            out << "]}";
-        }
-        if (s.attribution.enabled) {
-            // Positional arrays (field order fixed by the parser
-            // below): compact, and exact — u64 via jsonNumber's
-            // integer path, doubles via %.17g.
-            const AttributionResult &ar = s.attribution;
-            out << ",\"attribution\":{\"classes\":[";
-            for (unsigned c = 0; c < numAttribClasses; ++c) {
-                const AttribSegments &g = ar.classes[c];
-                out << (c ? "," : "") << "[" << jsonNumber(g.count)
-                    << "," << jsonNumber(g.latency) << ","
-                    << jsonNumber(g.request) << ","
-                    << jsonNumber(g.dirQueue) << ","
-                    << jsonNumber(g.dirService) << ","
-                    << jsonNumber(g.ownerFetch) << ","
-                    << jsonNumber(g.invalFanout) << ","
-                    << jsonNumber(g.ackCollect) << ","
-                    << jsonNumber(g.dataReturn) << ","
-                    << jsonNumber(g.fill) << ","
-                    << jsonNumber(g.dataHops) << "]";
-            }
-            out << "],\"locks\":[" << jsonNumber(ar.locks.count)
-                << "," << jsonNumber(ar.locks.latency) << ","
-                << jsonNumber(ar.locks.homeQueue) << ","
-                << jsonNumber(ar.locks.transfer) << "]";
-            out << ",\"homes\":[";
-            for (std::size_t i = 0; i < ar.homes.size(); ++i) {
-                const AttribHomeStats &h = ar.homes[i];
-                out << (i ? "," : "") << "["
-                    << jsonNumber(
-                           static_cast<std::uint64_t>(h.node))
-                    << "," << jsonNumber(h.dirRequests) << ","
-                    << jsonNumber(h.dirWaitTotal) << ","
-                    << jsonNumber(h.dirWaitP99) << ","
-                    << jsonNumber(h.lockGrants) << ","
-                    << jsonNumber(h.lockWaitTotal) << ","
-                    << jsonNumber(h.lockWaitP99) << "]";
-            }
-            out << "]";
-            auto hot = [&](const char *key,
-                           const std::vector<AttribHotSpot> &rows) {
-                out << ",\"" << key << "\":[";
-                for (std::size_t i = 0; i < rows.size(); ++i) {
-                    const AttribHotSpot &h = rows[i];
-                    out << (i ? "," : "") << "["
-                        << jsonNumber(
-                               static_cast<std::uint64_t>(h.addr))
-                        << ","
-                        << jsonNumber(
-                               static_cast<std::uint64_t>(h.home))
-                        << "," << jsonNumber(h.count) << ","
-                        << jsonNumber(h.totalWait) << ","
-                        << jsonNumber(h.p99Wait) << "]";
-                }
-                out << "]";
-            };
-            hot("hotBlocks", ar.hotBlocks);
-            hot("hotLocks", ar.hotLocks);
-            out << ",\"matchedTxns\":" << jsonNumber(ar.matchedTxns)
-                << ",\"unmatchedDir\":"
-                << jsonNumber(ar.unmatchedDir) << ",\"matchedLocks\":"
-                << jsonNumber(ar.matchedLocks)
-                << ",\"unmatchedLocks\":"
-                << jsonNumber(ar.unmatchedLocks) << ",\"fanoutTotal\":"
-                << jsonNumber(ar.fanoutTotal)
-                << ",\"fanoutImprecise\":"
-                << jsonNumber(ar.fanoutImprecise) << "}";
-        }
-        out << "}";
-    }
-    out << "}";
-    return out.str();
-}
-
-bool
-parseWireResult(const std::string &line, SweepResult &out,
-                std::string &error)
-{
-    JsonValue doc;
-    if (!parseJson(line, doc, error))
-        return false;
-    if (doc.kind != JsonValue::Kind::Object || !doc.has("schema") ||
-        doc.at("schema").kind != JsonValue::Kind::String ||
-        doc.at("schema").text != "cpx-wire-1") {
-        error = "missing cpx-wire-1 schema marker";
-        return false;
-    }
-
-    out = SweepResult{};
-    WireReader top{doc, error};
-    out.configHash = top.str("hash");
-    std::string status_name = top.str("status");
-    out.error = top.str("error");
-    out.attempts = static_cast<unsigned>(top.u64("attempts"));
-    out.hostSeconds = top.num("hostSeconds");
-    if (!top.ok)
-        return false;
-    if (!pointStatusFromName(status_name, out.status)) {
-        error = "unknown status '" + status_name + "'";
-        return false;
-    }
-
-    const bool payload = out.status == PointStatus::Ok ||
-                         out.status == PointStatus::InvariantFailure;
-    if (!payload)
-        return true;
-
-    out.run.execTime = static_cast<Tick>(top.u64("execTime"));
-    out.run.verified = top.boolean("verified");
-    const JsonValue *stats_v =
-        top.get("stats", JsonValue::Kind::Object);
-    if (!top.ok)
-        return false;
-
-    RunResult &s = out.run.stats;
-    WireReader r{*stats_v, error};
-    s.protocol = r.str("protocol");
-    s.consistency = r.str("consistency");
-    s.execTime = static_cast<Tick>(r.u64("execTime"));
-    s.busy = r.num("busy");
-    s.readStall = r.num("readStall");
-    s.writeStall = r.num("writeStall");
-    s.acquireStall = r.num("acquireStall");
-    s.releaseStall = r.num("releaseStall");
-    s.sharedAccesses = r.u64("sharedAccesses");
-    s.coldReadMisses = r.u64("coldReadMisses");
-    s.cohReadMisses = r.u64("cohReadMisses");
-    s.replReadMisses = r.u64("replReadMisses");
-    s.writeMissesTotal = r.u64("writeMissesTotal");
-    s.netBytes = r.u64("netBytes");
-    s.netMessages = r.u64("netMessages");
-    s.ownershipRequests = r.u64("ownershipRequests");
-    s.invalidationsSent = r.u64("invalidationsSent");
-    s.updatesForwarded = r.u64("updatesForwarded");
-    s.migratoryDetections = r.u64("migratoryDetections");
-    s.prefetchesIssued = r.u64("prefetchesIssued");
-    s.prefetchesUseful = r.u64("prefetchesUseful");
-    s.softwarePrefetches = r.u64("softwarePrefetches");
-    s.combinedWrites = r.u64("combinedWrites");
-    s.counterInvalidations = r.u64("counterInvalidations");
-    s.dirOverflowBroadcasts = r.u64Opt("dirOverflowBroadcasts", 0);
-    s.dirPointerEvictions = r.u64Opt("dirPointerEvictions", 0);
-    s.avgReadMissLatency = r.num("avgReadMissLatency");
-    s.eventsExecuted = r.u64("eventsExecuted");
-    s.peakPendingEvents = r.u64("peakPendingEvents");
-    s.scheduleAllocs = r.u64("scheduleAllocs");
-    s.slabRounds = r.u64Opt("slabRounds", 0);
-    s.crossMessages = r.u64Opt("crossMessages", 0);
-    s.lookahead = r.u64Opt("lookahead", 0);
-    s.simThreads =
-        static_cast<unsigned>(r.u64Opt("simThreads", 1));
-    const JsonValue *class_bytes =
-        r.get("classBytes", JsonValue::Kind::Array);
-    if (!r.ok)
-        return false;
-    constexpr unsigned num_classes =
-        static_cast<unsigned>(MsgClass::NumClasses);
-    if (class_bytes->items.size() != num_classes) {
-        error = "classBytes has " +
-                std::to_string(class_bytes->items.size()) +
-                " entries, expected " + std::to_string(num_classes);
-        return false;
-    }
-    for (unsigned k = 0; k < num_classes; ++k)
-        s.classBytes[k] = jsonU64(class_bytes->items[k]);
-
-    const std::pair<const char *, Histogram *> hists[] = {
-        {"readMissLatency", &s.readMissLatency},
-        {"ownershipLatency", &s.ownershipLatency},
-        {"prefetchFillLatency", &s.prefetchFillLatency},
-    };
-    for (auto [key, hist] : hists) {
-        const JsonValue *v = r.get(key, JsonValue::Kind::Object);
-        if (!r.ok)
-            return false;
-        if (!parseHistogram(*v, *hist, error))
-            return false;
-    }
-
-    if (stats_v->has("timeseries")) {
-        const JsonValue &ts_v = stats_v->at("timeseries");
-        if (ts_v.kind != JsonValue::Kind::Object) {
-            error = "timeseries is not an object";
-            return false;
-        }
-        WireReader t{ts_v, error};
-        MetricTimeSeries &ts = s.timeseries;
-        ts.interval = static_cast<Tick>(t.u64("interval"));
-        const JsonValue *metrics =
-            t.get("metrics", JsonValue::Kind::Array);
-        const JsonValue *ticks =
-            t.get("ticks", JsonValue::Kind::Array);
-        const JsonValue *deltas =
-            t.get("deltas", JsonValue::Kind::Array);
-        if (!t.ok)
-            return false;
-        for (const JsonValue &name : metrics->items)
-            ts.names.push_back(name.text);
-        for (const JsonValue &tick : ticks->items)
-            ts.ticks.push_back(static_cast<Tick>(jsonU64(tick)));
-        for (const JsonValue &d : deltas->items)
-            ts.deltas.push_back(jsonU64(d));
-        if (ts.names.empty() ||
-            ts.deltas.size() != ts.ticks.size() * ts.names.size()) {
-            error = "ragged timeseries in wire record";
-            return false;
-        }
-    }
-
-    // Tolerant like timeseries: absent means the point ran without
-    // --attrib, not a malformed record.
-    if (stats_v->has("attribution")) {
-        const JsonValue &ar_v = stats_v->at("attribution");
-        if (ar_v.kind != JsonValue::Kind::Object) {
-            error = "attribution is not an object";
-            return false;
-        }
-        WireReader a{ar_v, error};
-        AttributionResult &ar = s.attribution;
-        ar.enabled = true;
-        auto row = [&error](const JsonValue &v, std::size_t want,
-                            const char *what) -> bool {
-            if (v.kind != JsonValue::Kind::Array ||
-                v.items.size() != want) {
-                error = std::string("bad attribution ") + what +
-                        " row";
-                return false;
-            }
-            return true;
-        };
-        const JsonValue *classes =
-            a.get("classes", JsonValue::Kind::Array);
-        const JsonValue *locks = a.get("locks", JsonValue::Kind::Array);
-        const JsonValue *homes = a.get("homes", JsonValue::Kind::Array);
-        const JsonValue *hot_blocks =
-            a.get("hotBlocks", JsonValue::Kind::Array);
-        const JsonValue *hot_locks =
-            a.get("hotLocks", JsonValue::Kind::Array);
-        ar.matchedTxns = a.u64("matchedTxns");
-        ar.unmatchedDir = a.u64("unmatchedDir");
-        ar.matchedLocks = a.u64("matchedLocks");
-        ar.unmatchedLocks = a.u64("unmatchedLocks");
-        ar.fanoutTotal = a.u64("fanoutTotal");
-        ar.fanoutImprecise = a.u64("fanoutImprecise");
-        if (!a.ok)
-            return false;
-        if (classes->items.size() != numAttribClasses) {
-            error = "attribution classes has " +
-                    std::to_string(classes->items.size()) +
-                    " rows, expected " +
-                    std::to_string(numAttribClasses);
-            return false;
-        }
-        for (unsigned c = 0; c < numAttribClasses; ++c) {
-            const JsonValue &v = classes->items[c];
-            if (!row(v, 11, "class"))
-                return false;
-            AttribSegments &g = ar.classes[c];
-            g.count = jsonU64(v.items[0]);
-            g.latency = jsonU64(v.items[1]);
-            g.request = jsonU64(v.items[2]);
-            g.dirQueue = jsonU64(v.items[3]);
-            g.dirService = jsonU64(v.items[4]);
-            g.ownerFetch = jsonU64(v.items[5]);
-            g.invalFanout = jsonU64(v.items[6]);
-            g.ackCollect = jsonU64(v.items[7]);
-            g.dataReturn = jsonU64(v.items[8]);
-            g.fill = jsonU64(v.items[9]);
-            g.dataHops = jsonU64(v.items[10]);
-        }
-        if (!row(*locks, 4, "locks"))
-            return false;
-        ar.locks.count = jsonU64(locks->items[0]);
-        ar.locks.latency = jsonU64(locks->items[1]);
-        ar.locks.homeQueue = jsonU64(locks->items[2]);
-        ar.locks.transfer = jsonU64(locks->items[3]);
-        for (const JsonValue &v : homes->items) {
-            if (!row(v, 7, "home"))
-                return false;
-            AttribHomeStats h;
-            h.node = static_cast<NodeId>(jsonU64(v.items[0]));
-            h.dirRequests = jsonU64(v.items[1]);
-            h.dirWaitTotal = jsonU64(v.items[2]);
-            h.dirWaitP99 = v.items[3].number;
-            h.lockGrants = jsonU64(v.items[4]);
-            h.lockWaitTotal = jsonU64(v.items[5]);
-            h.lockWaitP99 = v.items[6].number;
-            ar.homes.push_back(h);
-        }
-        auto hot = [&](const JsonValue *rows,
-                       std::vector<AttribHotSpot> &dst) -> bool {
-            for (const JsonValue &v : rows->items) {
-                if (!row(v, 5, "hot-spot"))
-                    return false;
-                AttribHotSpot h;
-                h.addr = static_cast<Addr>(jsonU64(v.items[0]));
-                h.home = static_cast<NodeId>(jsonU64(v.items[1]));
-                h.count = jsonU64(v.items[2]);
-                h.totalWait = jsonU64(v.items[3]);
-                h.p99Wait = v.items[4].number;
-                dst.push_back(h);
-            }
-            return true;
-        };
-        if (!hot(hot_blocks, ar.hotBlocks) ||
-            !hot(hot_locks, ar.hotLocks))
-            return false;
-    }
     return true;
 }
 
@@ -2692,11 +2374,12 @@ loadJournal(const std::string &path)
             continue;
         SweepResult res;
         std::string err;
-        if (!parseWireResult(line, res, err)) {
+        if (!readRecord(line, res, err)) {
             // A corrupt or truncated line (e.g. a crash mid-append on
-            // a filesystem without ordered data) is preserved in a
-            // sidecar, never silently dropped: losing a record is
-            // recoverable, hiding the corruption is not.
+            // a filesystem without ordered data), or one of an older
+            // record format, is preserved in a sidecar, never silently
+            // dropped: re-running its point is safe, hiding the
+            // corruption is not.
             if (!quarantine.is_open()) {
                 load.quarantineFile = path + ".quarantine";
                 quarantine.open(load.quarantineFile,
@@ -2752,32 +2435,28 @@ runFaultSelfTest(const Options &base)
 
     std::printf("[1/4] outcome classification under --isolate="
                 "process\n");
-    std::size_t h_crash, h_exit, h_hang, h_garbage, h_unverified,
-        h_ok;
     {
+        const std::pair<const char *, PointStatus> outcomes[] = {
+            {faultAppCrash, PointStatus::Signal},
+            {faultAppExit, PointStatus::NonzeroExit},
+            {faultAppHang, PointStatus::Timeout},
+            {faultAppGarbage, PointStatus::Garbage},
+            {faultAppUnverified, PointStatus::InvariantFailure},
+            {"migratory", PointStatus::Ok},
+        };
         Options o = opts;
         o.journalPath = dir + "/classify.jsonl";
         SweepRunner runner(o);
-        h_crash = runner.add(faultAppCrash, params, "crash");
-        h_exit = runner.add(faultAppExit, params, "exit");
-        h_hang = runner.add(faultAppHang, params, "hang");
-        h_garbage = runner.add(faultAppGarbage, params, "garbage");
-        h_unverified =
-            runner.add(faultAppUnverified, params, "unverified");
-        h_ok = runner.add("migratory", params, "healthy");
+        for (const auto &[app, status] : outcomes)
+            runner.add(app, params, app);
         runner.runAll();
-        check(runner[h_crash].status == PointStatus::Signal,
-              "crashing worker classified as signal");
-        check(runner[h_exit].status == PointStatus::NonzeroExit,
-              "exiting worker classified as nonzero-exit");
-        check(runner[h_hang].status == PointStatus::Timeout,
-              "hanging worker classified as timeout");
-        check(runner[h_garbage].status == PointStatus::Garbage,
-              "garbage-emitting worker classified as garbage");
-        check(runner[h_unverified].status ==
-                  PointStatus::InvariantFailure,
-              "unverified worker classified as invariant-failure");
-        check(runner[h_ok].ok(), "healthy point completed ok");
+        for (std::size_t i = 0; i < std::size(outcomes); ++i) {
+            const auto &[app, status] = outcomes[i];
+            check(runner[i].status == status,
+                  (std::string(app) + " classified as " +
+                   pointStatusName(status))
+                      .c_str());
+        }
         check(runner.failedCount() == 5,
               "exactly the five injected faults failed");
     }
@@ -2804,9 +2483,11 @@ runFaultSelfTest(const Options &base)
                           "false_sharing"};
     // hostSeconds is the one legitimately host-dependent field;
     // everything else must match to the bit.
-    auto wire_no_host = [](SweepResult r) {
+    auto record_no_host = [](SweepResult r) {
         r.hostSeconds = 0;
-        return serializeWireResult(r);
+        std::string record;
+        appendRecord(record, r);
+        return record;
     };
     {
         Options in = opts;
@@ -2822,8 +2503,8 @@ runFaultSelfTest(const Options &base)
         r_proc.runAll();
         bool identical = true;
         for (std::size_t i = 0; i < 3; ++i)
-            identical = identical && wire_no_host(r_in[i]) ==
-                                         wire_no_host(r_proc[i]);
+            identical = identical && record_no_host(r_in[i]) ==
+                                         record_no_host(r_proc[i]);
         check(identical,
               "all healthy points bit-identical across modes");
     }
@@ -2848,8 +2529,8 @@ runFaultSelfTest(const Options &base)
               "resumed run re-executed nothing");
         bool identical = true;
         for (std::size_t i = 0; i < 3; ++i)
-            identical = identical && wire_no_host(r1[i]) ==
-                                         wire_no_host(r2[i]);
+            identical = identical && record_no_host(r1[i]) ==
+                                         record_no_host(r2[i]);
         check(identical, "resumed stats identical to first run");
     }
 

@@ -78,17 +78,29 @@ struct Options
 };
 
 /**
+ * A tool's own flags: offered every argument parseOptions() does not
+ * know, in argv order, with the options parsed so far. Returns false
+ * if @p arg is not the tool's flag either.
+ */
+using ToolFlagFn = std::function<bool(const char *arg, Options &opts)>;
+
+/**
  * Parse the options every bench binary accepts:
  *   --scale=F --procs=N --jobs=N --seed=N --json=PATH
  *   --sample-interval=N --attrib --sim-threads=N
  *   --isolate=none|process --timeout=SECONDS
  *   --retries=N --journal=PATH --resume=PATH --cache=DIR
- * (CPX_SCALE in the environment seeds the default scale.)
- * Numbers are checked: malformed values, trailing garbage and zero
- * procs/jobs are fatal. --resume implies --journal at the same path
- * unless one was given explicitly.
+ * starting from @p defaults (CPX_SCALE in the environment seeds the
+ * scale). Flags apply in argv order, so a tool flag that sets several
+ * options (cpxbench --smoke) is overridden by a later --scale. An
+ * argument neither list knows is fatal. Numbers are checked:
+ * malformed values, trailing garbage and zero procs/jobs are fatal.
+ * --resume implies --journal at the same path unless one was given
+ * explicitly.
  */
-Options parseOptions(int argc, char **argv);
+Options parseOptions(int argc, char **argv,
+                     const ToolFlagFn &tool_flag = nullptr,
+                     Options defaults = Options{});
 
 /** One queued (application × machine) configuration. */
 struct SweepPoint
@@ -156,8 +168,9 @@ struct SweepResult
  * deterministic), which is what lets the journal and the result
  * cache reuse points across runs. @p attrib salts the hash only when
  * enabled (it changes the result's *content*, like the sample
- * interval, though never its simulated stats), so every pre-existing
- * cache and journal hash stays valid.
+ * interval, though never its simulated stats). The hashed key starts
+ * with a version salt that changes with the record format, so cache
+ * files of an older format are never looked up.
  */
 std::string pointConfigHash(const SweepPoint &point,
                             Tick sample_interval,
@@ -218,7 +231,7 @@ class SweepRunner
     }
 
     /** True if any finished point failed (process-mode outcomes). */
-    bool anyFailed() const;
+    bool anyFailed() const { return failedCount() != 0; }
 
     /** Number of finished points that failed. */
     std::size_t failedCount() const;
@@ -234,8 +247,6 @@ class SweepRunner
 
     /** Host wall-time of all runAll() calls so far, in seconds. */
     double totalHostSeconds() const { return hostSeconds; }
-
-    const Options &options() const { return opts; }
 
   private:
     void loadResumeJournal();
@@ -262,12 +273,11 @@ class SweepRunner
 
 /**
  * Write @p results as a machine-readable JSON document (see
- * DESIGN.md §11 for the schema). @p suite names the producing
- * harness ("cpxbench" or an individual bench target). The write is
- * atomic: the document goes to "<path>.tmp", is fsync'd, and is
- * rename()d into place, so a crash mid-write never leaves a torn
- * results file to poison a later --baseline comparison. Failed
- * points emit a "status"/"error" block instead of stats.
+ * DESIGN.md §11 for the schema): a header plus one appendRecord()
+ * line per point. @p suite names the producing harness ("cpxbench" or
+ * an individual bench target). The write is atomic (tmp file, fsync,
+ * rename), so a crash mid-write never leaves a torn results file to
+ * poison a later --baseline comparison.
  */
 void writeJson(const std::string &path, const std::string &suite,
                const Options &opts,
@@ -281,28 +291,29 @@ constexpr int exitCodePointsFailed = 3;
 /** SIGINT/SIGTERM stopped the sweep; completed work is journaled. */
 constexpr int exitCodeInterrupted = 130;
 
-// --- subprocess wire format / journal --------------------------------------
+// --- the per-point record --------------------------------------------------
 
 /**
- * Serialize one finished point as a single-line "cpx-wire-1" JSON
- * record: status, error, attempts, hostSeconds, config hash, and —
- * for completed simulations — every RunResult field at full
- * fidelity (u64s exact, doubles via %.17g). This is what a worker
- * subprocess writes to its result pipe, what the journal stores per
- * line, and what the cache stores per file; parseWireResult()
- * reconstructs the SweepResult bit-identically.
+ * Append one finished point's record to @p out: a single-line JSON
+ * object with the point's identity, config hash, status, attempts,
+ * error and host time and, for points that ran to completion, every
+ * RunResult member at full fidelity. The same text is an element of
+ * the sweep JSON's "points" array, a worker's pipe output, a journal
+ * line and a cache file (DESIGN.md §11, §14).
  */
-std::string serializeWireResult(const SweepResult &result);
+void appendRecord(std::string &out, const SweepResult &result);
 
 /**
- * Parse one wire record (as produced by serializeWireResult) back
- * into @p out. The point itself (app/params/tag) is NOT on the wire
- * — the caller re-derives it from its own queue and matches by
- * config hash. Returns false and fills @p error on malformed or
- * version-mismatched input.
+ * Read one record written by appendRecord() back into @p out,
+ * bit-identically. Strict: every key must be present with its type,
+ * integers must be plain in-range digits, and no object may carry a
+ * key the writer does not write. The point's protocol, network and
+ * directory representation are not restored: callers match records to
+ * their own points by config hash. Returns false and fills @p error
+ * (never empty) on any other input.
  */
-bool parseWireResult(const std::string &line, SweepResult &out,
-                     std::string &error);
+bool readRecord(const std::string &text, SweepResult &out,
+                std::string &error);
 
 /** Journal contents, indexed by config hash (later lines win). */
 struct JournalLoad
@@ -314,10 +325,11 @@ struct JournalLoad
 };
 
 /**
- * Load a JSONL outcome journal. Corrupt or truncated lines are
- * quarantined, not silently skipped: each is appended verbatim to
- * "<path>.quarantine", counted, and warn()ed about, while every
- * valid line is kept. A missing journal loads as empty.
+ * Load a JSONL journal of appendRecord() lines. Lines readRecord()
+ * rejects (corrupt, truncated, or of an older format) are quarantined,
+ * not silently skipped: each is appended verbatim to
+ * "<path>.quarantine", counted, and warn()ed about, and its point
+ * re-runs. A missing journal loads as empty.
  */
 JournalLoad loadJournal(const std::string &path);
 
@@ -350,21 +362,27 @@ struct JsonValue
     const JsonValue &at(const std::string &key) const;
 };
 
+/** Deepest array/object nesting parseJson() accepts. */
+constexpr unsigned jsonMaxDepth = 64;
+
 /**
  * Parse a JSON document. On success returns true and fills @p out;
- * on malformed input returns false and fills @p error.
+ * on malformed input, or nesting deeper than jsonMaxDepth, returns
+ * false and fills @p error.
  */
 bool parseJson(const std::string &text, JsonValue &out,
                std::string &error);
 
 /**
  * Load and validate a sweep-results JSON file: parseable, carries
- * the cpx-sweep schema marker, every ok point structurally complete
+ * the cpx-sweep schema marker, every ok point carrying its execTime
  * and verified, every failed point carrying its "status"/"error"
- * block. Unless @p allow_failed, any failed or unverified point
- * fails validation — with every offender listed in @p error, not
- * just the first. Returns true on success; otherwise fills
- * @p error.
+ * block, and every "timeseries"/"attribution" block readable by the
+ * record reader. Other point members are not required, so partial
+ * fixtures validate. Unless @p allow_failed, any failed or
+ * unverified point fails validation — with every offender listed in
+ * @p error, not just the first. Returns true on success; otherwise
+ * fills @p error.
  */
 bool validateResultsFile(const std::string &path, std::string &error,
                          bool allow_failed = false);
@@ -379,34 +397,20 @@ bool validateResultsFile(const std::string &path, std::string &error,
 bool validateTraceFile(const std::string &path, std::string &error);
 
 /**
- * Compare a results file against a committed baseline. Every
- * simulated stat of every point — configuration, verification,
- * execTime, time breakdown, miss rates, traffic, protocol events —
- * must match the baseline bit-for-bit; host-dependent fields
- * (hostSeconds, kernel throughput) are exempt. Returns true if
+ * Compare a results file against a committed baseline. Every gated
+ * block of every point — tag, app, configuration, verification,
+ * execTime, time breakdown, miss rates, traffic, protocol events,
+ * latency histograms and the optional time series — must match the
+ * baseline bit-for-bit; the ungated blocks (directory, attribution,
+ * detail, kernel telemetry, host time) are exempt. Returns true if
  * nothing drifted, else fills @p error with EVERY divergent point
  * (one line each, naming the point and its config hash), so one
  * check-json run shows the full blast radius instead of the first
- * casualty. A >20% events/sec regression against the baseline's
- * recorded throughput fills @p warning but does not fail the
- * comparison.
+ * casualty.
  */
 bool compareToBaseline(const std::string &path,
                        const std::string &baseline_path,
-                       std::string &error, std::string &warning);
-
-/**
- * Print the throughput fields of an existing results file (suite
- * totals plus a per-tag table) to stdout; used by CI to surface the
- * perf trajectory in the job summary. When @p reference_path is
- * non-empty, also print the parallel-kernel speedup of @p path over
- * the reference file (wall-clock and events/sec ratios, labelled
- * with each file's --sim-threads) — CI passes the --sim-threads=1
- * results file as the reference. Returns false and fills @p error
- * if either file is unreadable.
- */
-bool printPerfSummary(const std::string &path, std::string &error,
-                      const std::string &reference_path = "");
+                       std::string &error);
 
 // --- bench-module registry -------------------------------------------------
 

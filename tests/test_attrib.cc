@@ -5,7 +5,7 @@
  * at one and at four kernel workers), worker-count independence of
  * the aggregate, the telescoping segment-sum invariant, the exact
  * two-pointer join on synthesized records, deterministic hot-table
- * tie-breaks, the cpx-wire-1 round trip, Perfetto counter tracks in
+ * tie-breaks, the sweep-record round trip, Perfetto counter tracks in
  * the Chrome-trace exporter, sparse-input robustness of the report
  * generator, and a golden-file check of the report's attribution
  * sections against the committed sweep in tests/data/.
@@ -348,7 +348,7 @@ TEST(AttribLocks, SplitsHomeQueueFromTransferAndBreaksTiesByAddr)
 }
 
 // ---------------------------------------------------------------------------
-// cpx-wire-1 round trip
+// Sweep-record round trip
 // ---------------------------------------------------------------------------
 
 TEST(AttribWire, RoundTripsThroughWireFormat)
@@ -367,10 +367,11 @@ TEST(AttribWire, RoundTripsThroughWireFormat)
     res.run.stats.attribution =
         aggregateAttribution(sink, uniformHop);
 
-    std::string line = bench::serializeWireResult(res);
+    std::string line;
+    bench::appendRecord(line, res);
     bench::SweepResult parsed;
     std::string error;
-    ASSERT_TRUE(bench::parseWireResult(line, parsed, error)) << error;
+    ASSERT_TRUE(bench::readRecord(line, parsed, error)) << error;
 
     const AttributionResult &a = res.run.stats.attribution;
     const AttributionResult &b = parsed.run.stats.attribution;
@@ -392,7 +393,7 @@ TEST(AttribWire, RoundTripsThroughWireFormat)
         EXPECT_EQ(a.homes[i].lockWaitP99, b.homes[i].lockWaitP99);
     }
     // The rendered form covers the matrix and both hot tables
-    // (doubles included, via the %.17g wire encoding).
+    // (doubles included, via the record's %.17g encoding).
     EXPECT_EQ(formatAttribution(a), formatAttribution(b));
 }
 
@@ -403,11 +404,12 @@ TEST(AttribWire, AbsentBlockParsesAsDisabled)
     res.run.verified = true;
     ASSERT_FALSE(res.run.stats.attribution.enabled);
 
-    std::string line = bench::serializeWireResult(res);
+    std::string line;
+    bench::appendRecord(line, res);
     EXPECT_EQ(line.find("attribution"), std::string::npos);
     bench::SweepResult parsed;
     std::string error;
-    ASSERT_TRUE(bench::parseWireResult(line, parsed, error)) << error;
+    ASSERT_TRUE(bench::readRecord(line, parsed, error)) << error;
     EXPECT_FALSE(parsed.run.stats.attribution.enabled);
 }
 

@@ -49,28 +49,18 @@ smallParams()
     return params;
 }
 
-void
-expectBitIdentical(const RunResult &a, const RunResult &b)
+/**
+ * A result's whole record with its host time zeroed: every RunResult
+ * member, the status, attempts and config hash, in one comparable
+ * string — the fault self-test's cross-mode check.
+ */
+std::string
+recordNoHost(SweepResult result)
 {
-    EXPECT_EQ(a.execTime, b.execTime);
-    EXPECT_EQ(a.busy, b.busy);
-    EXPECT_EQ(a.readStall, b.readStall);
-    EXPECT_EQ(a.writeStall, b.writeStall);
-    EXPECT_EQ(a.acquireStall, b.acquireStall);
-    EXPECT_EQ(a.releaseStall, b.releaseStall);
-    EXPECT_EQ(a.sharedAccesses, b.sharedAccesses);
-    EXPECT_EQ(a.coldReadMisses, b.coldReadMisses);
-    EXPECT_EQ(a.cohReadMisses, b.cohReadMisses);
-    EXPECT_EQ(a.replReadMisses, b.replReadMisses);
-    EXPECT_EQ(a.writeMissesTotal, b.writeMissesTotal);
-    EXPECT_EQ(a.netBytes, b.netBytes);
-    EXPECT_EQ(a.netMessages, b.netMessages);
-    EXPECT_EQ(a.invalidationsSent, b.invalidationsSent);
-    EXPECT_EQ(a.updatesForwarded, b.updatesForwarded);
-    EXPECT_EQ(a.migratoryDetections, b.migratoryDetections);
-    EXPECT_EQ(a.prefetchesIssued, b.prefetchesIssued);
-    EXPECT_EQ(a.combinedWrites, b.combinedWrites);
-    EXPECT_EQ(a.avgReadMissLatency, b.avgReadMissLatency);
+    result.hostSeconds = 0;
+    std::string record;
+    appendRecord(record, result);
+    return record;
 }
 
 TEST(IsolateClassification, FaultWorkersBecomePerPointStatuses)
@@ -200,10 +190,7 @@ TEST(IsolateDeterminism, ProcessModeMatchesInProcess)
     for (std::size_t i = 0; i < inproc.size(); ++i) {
         SCOPED_TRACE(inproc[i].point.app);
         EXPECT_TRUE(forked[i].ok());
-        EXPECT_EQ(inproc[i].configHash, forked[i].configHash);
-        EXPECT_EQ(inproc[i].run.execTime, forked[i].run.execTime);
-        EXPECT_EQ(inproc[i].run.verified, forked[i].run.verified);
-        expectBitIdentical(inproc[i].run.stats, forked[i].run.stats);
+        EXPECT_EQ(recordNoHost(inproc[i]), recordNoHost(forked[i]));
     }
 }
 
@@ -216,22 +203,29 @@ TEST(IsolateWire, RoundTripPreservesResult)
     runner.runAll();
     ASSERT_TRUE(runner[h].ok());
 
-    std::string line = serializeWireResult(runner[h]);
+    std::string line;
+    appendRecord(line, runner[h]);
     EXPECT_EQ(line.find('\n'), std::string::npos);
 
     SweepResult parsed;
     std::string error;
-    ASSERT_TRUE(parseWireResult(line, parsed, error)) << error;
+    ASSERT_TRUE(readRecord(line, parsed, error)) << error;
     EXPECT_EQ(parsed.status, PointStatus::Ok);
     EXPECT_EQ(parsed.configHash, runner[h].configHash);
     EXPECT_EQ(parsed.attempts, runner[h].attempts);
+    EXPECT_EQ(parsed.hostSeconds, runner[h].hostSeconds);
     EXPECT_EQ(parsed.run.execTime, runner[h].run.execTime);
     EXPECT_TRUE(parsed.run.verified);
-    expectBitIdentical(parsed.run.stats, runner[h].run.stats);
+    // The point's params are not restored, only the results: the
+    // same point re-labels the parse, and the records then agree.
+    parsed.point = runner[h].point;
+    std::string reread;
+    appendRecord(reread, parsed);
+    EXPECT_EQ(reread, line);
 
-    EXPECT_FALSE(parseWireResult("{\"schema\": \"bogus\"}", parsed,
-                                 error));
-    EXPECT_FALSE(parseWireResult("not json at all", parsed, error));
+    EXPECT_FALSE(readRecord("{\"schema\": \"bogus\"}", parsed, error));
+    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(readRecord("not json at all", parsed, error));
 }
 
 TEST(IsolateJournal, ResumeSkipsExactlyTheCompletedSet)
@@ -271,8 +265,8 @@ TEST(IsolateJournal, ResumeSkipsExactlyTheCompletedSet)
         SCOPED_TRACE(first[handles[i]].point.app);
         EXPECT_EQ(second[handles2[i]].source, ResultSource::Journal);
         EXPECT_TRUE(second[handles2[i]].ok());
-        expectBitIdentical(first[handles[i]].run.stats,
-                           second[handles2[i]].run.stats);
+        EXPECT_EQ(recordNoHost(first[handles[i]]),
+                  recordNoHost(second[handles2[i]]));
     }
 
     // A grid with one extra point resumes the three and runs only it.
@@ -311,7 +305,7 @@ TEST(IsolateJournal, CorruptLinesAreQuarantinedNotDropped)
     // corruption; the valid record must survive both.
     {
         std::ofstream out(journal, std::ios::app);
-        out << "{\"schema\": \"cpx-wire-1\", \"status\":\n";
+        out << "{\"tag\": \"corrupt\", \"status\":\n";
         out << "** not json **\n";
     }
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <thread>
 
@@ -212,6 +213,35 @@ TEST(CheckedParseDeathTest, BenchOptionsRejectBadValues)
                 "--sample-interval: negative value");
     EXPECT_EXIT(parse({"--bogus"}), ExitedWithCode(1),
                 "unknown option");
+
+    // A tool's own flags (here cpxbench's --smoke) ride the same
+    // parser: offered in argv order, so a later --scale overrides
+    // --smoke's, and the shared checks still apply around them.
+    auto smoke = [](const char *arg, Options &opts) {
+        if (std::strcmp(arg, "--smoke") != 0)
+            return false;
+        opts.scale = 0.1;
+        opts.procs = 8;
+        return true;
+    };
+    auto parseTool = [&smoke](std::vector<const char *> args) {
+        args.insert(args.begin(), "cpxbench");
+        return bench::parseOptions(static_cast<int>(args.size()),
+                                   const_cast<char **>(args.data()),
+                                   smoke);
+    };
+    EXPECT_EXIT(parse({"--smoke"}), ExitedWithCode(1),
+                "unknown option '--smoke'");
+    EXPECT_EXIT(parseTool({"--smoke", "--procs=0"}), ExitedWithCode(1),
+                "--procs: must be positive");
+    EXPECT_EXIT(parseTool({"--smoke", "--bogus"}), ExitedWithCode(1),
+                "unknown option '--bogus'");
+    EXPECT_EXIT(parseTool({"--smoke", "--timeout=5"}),
+                ExitedWithCode(1), "--timeout requires --isolate=process");
+    Options later_scale = parseTool({"--smoke", "--scale=0.5"});
+    EXPECT_EQ(later_scale.scale, 0.5);
+    EXPECT_EQ(later_scale.procs, 8u);
+    EXPECT_EQ(parseTool({"--scale=0.5", "--smoke"}).scale, 0.1);
 }
 
 TEST(CheckedParse, AcceptsWellFormedNumbers)

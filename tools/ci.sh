@@ -4,19 +4,21 @@
 # with chaos-network fault injection, the supervisor's fault-injection
 # self-test, a process-isolated harness smoke sweep whose JSON results
 # are validated — and, when a committed BENCH_baseline.json exists,
-# gated against the baseline (any simulated-stat drift fails; an
-# events/sec regression only warns; the in-process-generated baseline
-# makes the gate a cross-isolation-mode bit-identity check) — a
-# parallel-kernel bit-identity matrix (the smoke suite re-run at
-# --sim-threads=1/2/4, every results file gated against the same
-# baseline, so thread-count determinism is enforced on every sweep
-# point), a sampled mesh sweep rendered to markdown through
-# cpxreport, and a stall-attribution sweep (--attrib) gated against
+# gated against the baseline (any simulated-stat drift fails; the
+# in-process-generated baseline makes the gate a cross-isolation-mode
+# bit-identity check) — a parallel-kernel bit-identity matrix (the
+# smoke suite re-run at --sim-threads=1/2/4, every results file gated
+# against the same baseline, so thread-count determinism is enforced
+# on every sweep point), a line-for-line diff of the tables the
+# process-isolated and the in-process smoke sweeps render, a sampled
+# mesh sweep rendered to markdown through cpxreport, and a
+# stall-attribution sweep (--attrib) gated against
 # the same baseline — proving the causal profiler is observation-only
 # — then rendered to check both attribution report sections. The
 # ThreadSanitizer lane lives in the GitHub workflow
 # (.github/workflows/ci.yml, job "tsan"): CPX_SANITIZE=thread build,
-# ctest -L threads, and a chaos stress run at --sim-threads=4.
+# ctest -L threads, and a chaos stress run at --sim-threads=4. Host
+# performance is measured by perf/run.sh, not here.
 #
 # Usage: tools/ci.sh [build-dir-prefix]   (default: build-ci)
 #
@@ -49,6 +51,17 @@ run_suite() {
     echo "== test $dir (ctest -j $jobs)"
     ctest --test-dir "$root/$dir" --output-on-failure -j "$jobs" >/dev/null
     stage_done "$dir"
+}
+
+# Validate a results file and, when a committed baseline exists, gate
+# it on the baseline.
+check_json() {
+    if [ -f "$root/BENCH_baseline.json" ]; then
+        "$root/$prefix/tools/cpxbench" --check-json="$1" \
+            --baseline="$root/BENCH_baseline.json"
+    else
+        "$root/$prefix/tools/cpxbench" --check-json="$1"
+    fi
 }
 
 run_suite "$prefix"           -DCPX_SANITIZE=OFF
@@ -90,18 +103,13 @@ bench_journal="$root/$prefix/BENCH_smoke.jsonl"
 rm -f "$bench_json" "$bench_journal" "$bench_journal.quarantine"
 "$root/$prefix/tools/cpxbench" --smoke --jobs="$jobs" \
     --isolate=process --timeout=300 \
-    --journal="$bench_journal" --json="$bench_json" >/dev/null
+    --journal="$bench_journal" --json="$bench_json" \
+    >"$root/$prefix/BENCH_smoke.txt"
 test -s "$bench_json" || {
     echo "cpxbench smoke run produced no JSON" >&2
     exit 1
 }
-if [ -f "$root/BENCH_baseline.json" ]; then
-    "$root/$prefix/tools/cpxbench" --check-json="$bench_json" \
-        --baseline="$root/BENCH_baseline.json"
-else
-    "$root/$prefix/tools/cpxbench" --check-json="$bench_json"
-fi
-"$root/$prefix/tools/cpxbench" --perf-summary="$bench_json"
+check_json "$bench_json"
 stage_done "harness smoke sweep"
 
 # Parallel-kernel bit-identity matrix: the same smoke suite at
@@ -109,28 +117,36 @@ stage_done "harness smoke sweep"
 # match the committed baseline byte-for-byte on every simulated stat
 # (the baseline was produced at --sim-threads=1, so passing it
 # unmodified at 2 and 4 workers IS the thread-count determinism
-# guarantee of DESIGN.md §15; the gate's >20% events/sec check also
-# warns on threaded-config throughput regressions). The speedup
-# summary at the end feeds the workflow's perf-trajectory job
-# summary.
+# guarantee of DESIGN.md §15).
 echo "== sim-threads bit-identity matrix (1 2 4)"
 for w in 1 2 4; do
     mt_json="$root/$prefix/BENCH_threads$w.json"
     rm -f "$mt_json"
     "$root/$prefix/tools/cpxbench" --smoke --jobs="$jobs" \
-        --sim-threads="$w" --json="$mt_json" >/dev/null
-    if [ -f "$root/BENCH_baseline.json" ]; then
-        "$root/$prefix/tools/cpxbench" --check-json="$mt_json" \
-            --baseline="$root/BENCH_baseline.json"
-    else
-        "$root/$prefix/tools/cpxbench" --check-json="$mt_json"
-    fi
+        --sim-threads="$w" --json="$mt_json" \
+        >"$root/$prefix/BENCH_threads$w.txt"
+    check_json "$mt_json"
     echo "   --sim-threads=$w OK"
 done
-"$root/$prefix/tools/cpxbench" \
-    --perf-summary="$root/$prefix/BENCH_threads4.json" \
-    --speedup-vs="$root/$prefix/BENCH_threads1.json"
 stage_done "sim-threads bit-identity matrix"
+
+# Cross-mode rendered tables: the process-isolated and the in-process
+# (--sim-threads=1) smoke sweeps must print the same tables, minus the
+# two host-dependent lines. The tables render what crossed the worker
+# pipe, including members the baseline gate does not compare (e.g.
+# fig4_traffic's traffic by message class).
+echo "== cross-mode rendered tables (process vs in-process)"
+tables() {
+    grep -v -e ' sweep points in .* host seconds' \
+        -e '^results written to ' "$1"
+}
+tables "$root/$prefix/BENCH_smoke.txt" >"$root/$prefix/TABLES_process.txt"
+tables "$root/$prefix/BENCH_threads1.txt" |
+    diff "$root/$prefix/TABLES_process.txt" - || {
+    echo "rendered tables differ between --isolate modes" >&2
+    exit 1
+}
+stage_done "cross-mode rendered tables"
 
 # Directory-scaling smoke: the 16/64/256-node representation matrix
 # (bench/scaling_matrix, standalone-only so the cpxbench suite's
@@ -191,12 +207,7 @@ attrib_md="$root/$prefix/REPORT_attrib.md"
 rm -f "$attrib_json" "$attrib_md"
 "$root/$prefix/tools/cpxbench" --smoke --jobs="$jobs" --attrib \
     --json="$attrib_json" >/dev/null
-if [ -f "$root/BENCH_baseline.json" ]; then
-    "$root/$prefix/tools/cpxbench" --check-json="$attrib_json" \
-        --baseline="$root/BENCH_baseline.json"
-else
-    "$root/$prefix/tools/cpxbench" --check-json="$attrib_json"
-fi
+check_json "$attrib_json"
 "$root/$prefix/tools/cpxreport" "$attrib_json" --out="$attrib_md"
 for section in "Where the cycles went" "Contention hot spots"; do
     grep -q "$section" "$attrib_md" || {

@@ -10,18 +10,19 @@
  *
  *   cpxbench --jobs=8 --json=BENCH_results.json
  *
- * Options:
+ * Options shared with every bench binary (bench::parseOptions):
  *   --jobs=N        host worker threads (default hardware_concurrency)
  *   --json=PATH     JSON results file     (default BENCH_results.json)
  *   --scale=F       workload problem-size multiplier (default 1.0)
  *   --procs=N       simulated processors per system  (default 16)
  *   --seed=N        workload seed for seeded workloads
- *   --smoke         quick pass: scale 0.1, 8 procs (CI; overridable
- *                   by a later --scale/--procs)
  *   --sample-interval=N  sample interval metrics every N ticks and
  *                   embed the per-point "timeseries" JSON block
- *                   (0 = off, the default; simulated stats are
- *                   bit-identical either way — DESIGN.md §13)
+ *                   (0 = off, the default; DESIGN.md §13). Sampling
+ *                   only reads counters, but its events cut the
+ *                   parallel kernel's slabs, and until slab
+ *                   boundaries stop mattering a sampled run can
+ *                   simulate slightly different stats
  *   --attrib        profile each point's causal stall attribution
  *                   and embed the per-point "attribution" JSON block
  *                   (DESIGN.md §17). Observation-only: simulated
@@ -41,12 +42,17 @@
  *                   (process mode; 0 = none)
  *   --retries=N     extra attempts for transient failures
  *                   (default 1; process mode)
- *   --journal=P     append each finished point to JSONL journal P
- *                   (fsync'd before the point counts as done)
+ *   --journal=P     append each finished point's record to JSONL
+ *                   journal P (fsync'd before the point counts as
+ *                   done)
  *   --resume=P      skip points already completed in journal P
  *                   (implies --journal=P unless given separately)
  *   --cache=DIR     content-addressed result cache: reuse identical
  *                   configurations across runs, store new ones
+ *
+ * cpxbench's own flags:
+ *   --smoke         quick pass: scale 0.1, 8 procs (CI; overridable
+ *                   by a later --scale/--procs)
  *   --self-test-faults  run the built-in fault-injection self-test
  *                   (deliberately crashing/hanging/garbage workers)
  *                   and exit 0 iff the supervisor classifies and
@@ -60,50 +66,41 @@
  *                   carry a well-formed status/error block
  *   --baseline=P    with --check-json: additionally fail if any
  *                   simulated stat drifted from the committed
- *                   baseline file P; warn (not fail) if events/sec
- *                   regressed more than 20%
+ *                   baseline file P
  *   --check-trace=P validate a Chrome-trace-event JSON file written
  *                   by cpxsim --trace-out (parseable, traceEvents
  *                   present, async begin/end balanced, counter
  *                   tracks well-formed and time-ordered) and exit;
  *                   runs nothing
- *   --perf-summary=P  print the throughput fields (suite totals and
- *                   per-tag events/sec) of an existing results file
- *                   and exit; runs nothing
- *   --speedup-vs=R  with --perf-summary: also print the wall-clock
- *                   and events/sec speedup of the summarized file
- *                   over reference results file R (CI passes the
- *                   --sim-threads=1 run as R)
+ *
+ * Host performance is measured by perf/run.sh, not here.
  *
  * Determinism: each simulation is seeded and bit-identical at every
  * --sim-threads value (DESIGN.md §15), and results are collected by
  * queue position, so the tables and the JSON are bit-identical for
- * every --jobs value — and, because results cross the worker pipe at
- * full fidelity, for either --isolate mode.
+ * every --jobs value — and, because results cross the worker pipe as
+ * the same full-fidelity record the JSON holds, for either --isolate
+ * mode.
  *
  * Exit codes: 0 success; 1 fatal error; 3 suite completed but one or
  * more points failed (their status/error is in the JSON); 130
  * interrupted by SIGINT/SIGTERM (journaled work is resumable).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/runner.hh"
-#include "sim/parse.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace cpx;
     using namespace cpx::bench;
-
-    Options opts;
-    opts.jsonPath = "BENCH_results.json";
-    if (const char *env = std::getenv("CPX_SCALE"))
-        opts.scale = parsePositiveDouble(env, "CPX_SCALE");
 
     std::vector<std::string> only;
     bool list_only = false;
@@ -112,71 +109,20 @@ main(int argc, char **argv)
     std::string check_json;
     std::string check_trace;
     std::string baseline;
-    std::string perf_summary;
-    std::string speedup_vs;
 
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--scale=", 8) == 0)
-            opts.scale = parsePositiveDouble(arg + 8, "--scale");
-        else if (std::strncmp(arg, "--procs=", 8) == 0)
-            opts.procs = parsePositiveUnsigned(arg + 8, "--procs");
-        else if (std::strncmp(arg, "--jobs=", 7) == 0)
-            opts.jobs = parsePositiveUnsigned(arg + 7, "--jobs");
-        else if (std::strncmp(arg, "--seed=", 7) == 0)
-            opts.seed = parseU64(arg + 7, "--seed");
-        else if (std::strncmp(arg, "--json=", 7) == 0)
-            opts.jsonPath = arg + 7;
-        else if (std::strncmp(arg, "--sample-interval=", 18) == 0)
-            opts.sampleInterval =
-                parseU64(arg + 18, "--sample-interval");
-        else if (std::strcmp(arg, "--attrib") == 0)
-            opts.attrib = true;
-        else if (std::strncmp(arg, "--sim-threads=", 14) == 0)
-            opts.simThreads =
-                parsePositiveUnsigned(arg + 14, "--sim-threads");
-        else if (std::strncmp(arg, "--isolate=", 10) == 0) {
-            const char *mode = arg + 10;
-            if (std::strcmp(mode, "none") == 0)
-                opts.isolate = IsolateMode::None;
-            else if (std::strcmp(mode, "process") == 0)
-                opts.isolate = IsolateMode::Process;
-            else
-                fatal("bad --isolate mode '%s' (use none|process)",
-                      mode);
-        } else if (std::strncmp(arg, "--timeout=", 10) == 0)
-            opts.timeoutSec =
-                parsePositiveDouble(arg + 10, "--timeout");
-        else if (std::strncmp(arg, "--retries=", 10) == 0)
-            opts.retries = static_cast<unsigned>(
-                parseU64(arg + 10, "--retries"));
-        else if (std::strncmp(arg, "--journal=", 10) == 0)
-            opts.journalPath = arg + 10;
-        else if (std::strncmp(arg, "--resume=", 9) == 0) {
-            opts.resumePath = arg + 9;
-            if (opts.journalPath.empty())
-                opts.journalPath = opts.resumePath;
-        } else if (std::strncmp(arg, "--cache=", 8) == 0)
-            opts.cachePath = arg + 8;
-        else if (std::strcmp(arg, "--self-test-faults") == 0)
+    auto tool_flag = [&](const char *arg, Options &opts) {
+        if (std::strcmp(arg, "--self-test-faults") == 0) {
             self_test = true;
-        else if (std::strcmp(arg, "--allow-failed") == 0)
+        } else if (std::strcmp(arg, "--allow-failed") == 0) {
             allow_failed = true;
-        else if (std::strcmp(arg, "--smoke") == 0) {
+        } else if (std::strcmp(arg, "--smoke") == 0) {
             opts.scale = 0.1;
             opts.procs = 8;
         } else if (std::strncmp(arg, "--only=", 7) == 0) {
-            std::string names = arg + 7;
-            std::size_t pos = 0;
-            while (pos != std::string::npos) {
-                std::size_t comma = names.find(',', pos);
-                std::string name = names.substr(
-                    pos, comma == std::string::npos ? comma
-                                                    : comma - pos);
+            std::istringstream names(arg + 7);
+            for (std::string name; std::getline(names, name, ',');)
                 if (!name.empty())
                     only.push_back(name);
-                pos = comma == std::string::npos ? comma : comma + 1;
-            }
         } else if (std::strcmp(arg, "--list") == 0) {
             list_only = true;
         } else if (std::strncmp(arg, "--check-json=", 13) == 0) {
@@ -185,33 +131,17 @@ main(int argc, char **argv)
             check_trace = arg + 14;
         } else if (std::strncmp(arg, "--baseline=", 11) == 0) {
             baseline = arg + 11;
-        } else if (std::strncmp(arg, "--perf-summary=", 15) == 0) {
-            perf_summary = arg + 15;
-        } else if (std::strncmp(arg, "--speedup-vs=", 13) == 0) {
-            speedup_vs = arg + 13;
         } else {
-            fatal("unknown option '%s' (see the header of "
-                  "tools/cpxbench.cc)",
-                  arg);
+            return false;
         }
-    }
-
-    if (opts.isolate == IsolateMode::None && opts.timeoutSec > 0)
-        fatal("--timeout requires --isolate=process");
+        return true;
+    };
+    Options defaults;
+    defaults.jsonPath = "BENCH_results.json";
+    Options opts = parseOptions(argc, argv, tool_flag, defaults);
 
     if (self_test)
         return runFaultSelfTest(opts);
-
-    if (!perf_summary.empty()) {
-        std::string error;
-        if (!printPerfSummary(perf_summary, error, speedup_vs)) {
-            std::fprintf(stderr, "cpxbench: %s\n", error.c_str());
-            return 1;
-        }
-        return 0;
-    }
-    if (!speedup_vs.empty())
-        fatal("--speedup-vs requires --perf-summary");
 
     if (!check_trace.empty()) {
         std::string error;
@@ -225,25 +155,17 @@ main(int argc, char **argv)
 
     if (!check_json.empty()) {
         std::string error;
-        if (!validateResultsFile(check_json, error, allow_failed)) {
+        if (!validateResultsFile(check_json, error, allow_failed) ||
+            (!baseline.empty() &&
+             !compareToBaseline(check_json, baseline, error))) {
             std::fprintf(stderr, "cpxbench: %s\n", error.c_str());
             return 1;
         }
-        if (!baseline.empty()) {
-            std::string warning;
-            if (!compareToBaseline(check_json, baseline, error,
-                                   warning)) {
-                std::fprintf(stderr, "cpxbench: %s\n", error.c_str());
-                return 1;
-            }
-            if (!warning.empty())
-                std::fprintf(stderr, "cpxbench: warning: %s\n",
-                             warning.c_str());
+        if (baseline.empty())
+            std::printf("%s: OK\n", check_json.c_str());
+        else
             std::printf("%s: OK (matches baseline %s)\n",
                         check_json.c_str(), baseline.c_str());
-            return 0;
-        }
-        std::printf("%s: OK\n", check_json.c_str());
         return 0;
     }
     if (!baseline.empty())
@@ -255,31 +177,23 @@ main(int argc, char **argv)
         return 0;
     }
 
-    for (const std::string &name : only) {
-        bool known = false;
-        for (const BenchDef &def : benchRegistry())
-            known = known || name == def.name;
-        if (!known)
+    const std::vector<BenchDef> &registry = benchRegistry();
+    for (const std::string &name : only)
+        if (std::none_of(registry.begin(), registry.end(),
+                         [&name](const BenchDef &def) {
+                             return name == def.name;
+                         }))
             fatal("--only: unknown bench target '%s' (try --list)",
                   name.c_str());
-    }
-    auto selected = [&only](const BenchDef &def) {
-        if (only.empty())
-            return true;
-        for (const std::string &name : only)
-            if (name == def.name)
-                return true;
-        return false;
-    };
 
     // Queue every selected target's grid, run the union over one
     // pool, then render in canonical order.
     SweepRunner runner(opts);
     std::vector<RenderFn> renders;
-    for (const BenchDef &def : benchRegistry()) {
-        if (selected(def))
+    for (const BenchDef &def : registry)
+        if (only.empty() ||
+            std::find(only.begin(), only.end(), def.name) != only.end())
             renders.push_back(def.setup(runner, opts));
-    }
     runner.runAll();
 
     if (runner.interrupted()) {

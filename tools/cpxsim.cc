@@ -47,12 +47,16 @@
  *
  * Interval metrics (see DESIGN.md §13):
  *   --sample-interval=N sample every registered metric each N ticks
- *                       (0 = off, the default). Passive: simulated
- *                       stats are bit-identical either way. The run
- *                       summary reports the rows collected. Combined
- *                       with --trace-out, the sampled metrics also
- *                       ride in the Chrome trace as Perfetto counter
- *                       tracks on the same timeline.
+ *                       (0 = off, the default). Sampling only reads
+ *                       counters, but its events cut the parallel
+ *                       kernel's slabs, and until slab boundaries
+ *                       stop mattering a sampled run can simulate
+ *                       slightly different stats (as can one with
+ *                       --watchdog). The run summary reports the
+ *                       rows collected. Combined with --trace-out,
+ *                       the sampled metrics also ride in the Chrome
+ *                       trace as Perfetto counter tracks on the same
+ *                       timeline.
  *
  * Stall attribution (see DESIGN.md §17):
  *   --attrib            profile every coherence transaction's causal
